@@ -281,18 +281,19 @@ let print_diag ~interface ~fraction ~mn ~mx =
 
 let simulate params size steps ranks split overlap domains tile backend crash_at ckpt_every
     fault_seed adaptive diag trace metrics_out =
-  let g = generate params false in
-  let phi = g.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
-  let dim = params.Pfcore.Params.dim in
   if overlap && ranks <= 1 then failwith "--overlap requires --ranks > 1";
   let observing = trace <> None || metrics_out <> None in
   if observing then begin
-    (* arm the observability sink before any block is built so priming
-       exchanges and the first checkpoint are on the trace too *)
+    (* arm the observability sink before code generation so the codegen
+       stages, priming exchanges and the first checkpoint are on the trace
+       too *)
     Obs.Metrics.reset ();
     Obs.Sink.clear ();
     Obs.Sink.enable ()
   end;
+  let g = generate params false in
+  let phi = g.Pfcore.Genkernels.fields.Pfcore.Model.phi_src in
+  let dim = params.Pfcore.Params.dim in
   let t0 = Unix.gettimeofday () in
   let fractions =
     if adaptive then begin
@@ -646,7 +647,7 @@ let drift_size_arg =
   Arg.(value & opt int 12 & info [ "size" ] ~doc:"Cubic block edge length for the measurement sweeps.")
 
 let drift_sweeps_arg =
-  Arg.(value & opt int 2 & info [ "sweeps" ] ~doc:"Timed sweeps per repetition (best of 3 repetitions is kept).")
+  Arg.(value & opt int 2 & info [ "sweeps" ] ~doc:"Timed sweeps per repetition (best of 5 repetitions is kept).")
 
 let drift_check_arg =
   Arg.(value & flag & info [ "check" ] ~doc:"Exit nonzero when any measured/model ratio deviates beyond the documented threshold or the mu split/full ordering disagrees with the model.")

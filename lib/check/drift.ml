@@ -19,7 +19,9 @@
     and the oracle's verdict requires every deviation ≤ {!threshold} plus
     the paper's headline ordering: split costs at most as much as full for
     the μ kernels (Table 1 / Fig. 2), both measured and predicted.
-    `pfgen drift --check` and the [obs] test suite enforce the verdict. *)
+    `pfgen drift --check` enforces the verdict in the [@soak] gate, over
+    best-of-5 repetitions; the [obs] test suite checks only the
+    deterministic model side, so tier-1 makes no wall-clock claim. *)
 
 type row = {
   model : string;          (** "P1" or "P2" *)
@@ -122,7 +124,7 @@ let make_pair rows ~label (ma, va) (mb, vb) =
 (** Run the oracle: measure all eight kernel variants and build the ratio
     pairs.  [n] is the cubic block edge (default 12 — big enough that loop
     overhead is amortized, small enough for the test suite). *)
-let run ?(n = 12) ?(sweeps = 2) ?(reps = 3) ?(machine = Perfmodel.Machine.skylake_8174) () =
+let run ?(n = 12) ?(sweeps = 2) ?(reps = 5) ?(machine = Perfmodel.Machine.skylake_8174) () =
   let rows =
     List.concat_map
       (fun (model, params) ->
@@ -153,15 +155,19 @@ let run ?(n = 12) ?(sweeps = 2) ?(reps = 3) ?(machine = Perfmodel.Machine.skylak
 
 let max_deviation r = List.fold_left (fun acc p -> Float.max acc p.deviation) 0. r.pairs
 
+let mu_split_le_full cost r =
+  List.for_all
+    (fun m -> cost (find r.rows m "mu-split") <= cost (find r.rows m "mu-full"))
+    [ "P1"; "P2" ]
+
+(** The model side of the μ ordering: predicted split ≤ full for P1 and
+    P2.  Deterministic, unlike the measured side. *)
+let predicted_mu_ordering_ok = mu_split_le_full (fun row -> row.predicted_cy_per_lup)
+
 (** The paper's variant-selection ordering for μ, on both sides: measured
     split ≤ full and predicted split ≤ full, for P1 and P2. *)
 let mu_ordering_ok r =
-  List.for_all
-    (fun m ->
-      let s = find r.rows m "mu-split" and f = find r.rows m "mu-full" in
-      s.measured_ns_per_lup <= f.measured_ns_per_lup
-      && s.predicted_cy_per_lup <= f.predicted_cy_per_lup)
-    [ "P1"; "P2" ]
+  mu_split_le_full (fun row -> row.measured_ns_per_lup) r && predicted_mu_ordering_ok r
 
 (** [Ok ()] when every ratio is within {!threshold} and the μ ordering
     holds; [Error msg] names the first violation. *)

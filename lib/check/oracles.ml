@@ -5,7 +5,8 @@
 
     + scalar [Eval.eval] vs. eval after an algebraic pass
       ([Simplify.simplify_term], [expand], [factor_common],
-      [freeze_parameters]) or after [Cse];
+      [freeze_parameters]) or after [Cse]; and the memoised [Simplify]
+      functions vs. their tree-walking reference [Simplify_ref];
     + the compiled [Vm.Engine] sweep vs. a direct [Eval]-based interpreter
       over the same block;
     + full vs. split (staggered-precompute) discretization from
@@ -86,8 +87,27 @@ let cse_test ~count =
         let reference = Eval.eval env e in
         List.for_all (close reference) (Eval.eval_bindings env bs exprs))
 
+(* The memoised [Simplify] functions against their tree-walking reference,
+   on the sample and on its expansion: [expand] shares subterms physically,
+   which is the case the memos exist for. *)
+let simplify_matches_reference e =
+  Simplify.cost e = Simplify_ref.cost e
+  && Expr.equal (Simplify.factor_common e) (Simplify_ref.factor_common e)
+  && Expr.equal (Simplify.simplify_term e) (Simplify_ref.simplify_term e)
+
+(* Larger terms than oracle 1's other samples (about 60 nodes, 650 after
+   expansion): a memo only sees hash collisions once a term has more
+   structure than [Hashtbl.hash] inspects, and at the default size a
+   memo that compared hashes alone went unnoticed. *)
+let simplify_reference_test ~count =
+  QCheck.Test.make ~name:"oracle1: memoised simplify = tree-walking reference" ~count
+    (QCheck.make ~print:Expr.to_string ~shrink:Gen.shrink_expr
+       (Gen.expr ~size:200 ~atoms:Gen.scalar_atoms ()))
+    (fun e -> simplify_matches_reference e && simplify_matches_reference (Simplify.expand e))
+
 let simplify_tests ~count =
   [
+    simplify_reference_test ~count;
     expr_transform_test ~count ~name:"oracle1: eval = eval after simplify_term"
       (fun _ e -> Simplify.simplify_term e);
     expr_transform_test ~count ~name:"oracle1: eval = eval after expand" (fun _ e ->

@@ -34,14 +34,21 @@ let default_options = { symbolic_params = false; simplify = true; cse = true }
 
 let guard_bindings = [ ("q_eps", 1e-12) ]
 
+(* One span per pipeline stage (codegen.pde, .discretize, .simplify,
+   .freeze, .cse, .lower), so a trace accounts for code generation. *)
+let stage name f = Obs.Span.with_ ~cat:"codegen" name f
+
 let optimize (opts : options) ~bindings body =
-  let body = if opts.simplify then Assignment.simplify body else body in
   let body =
-    if opts.symbolic_params then Assignment.freeze_parameters guard_bindings body
-    else Assignment.freeze_parameters (guard_bindings @ bindings) body
+    if opts.simplify then stage "codegen.simplify" (fun () -> Assignment.simplify body)
+    else body
   in
-  let body = if opts.cse then Assignment.cse body else body in
-  body
+  let body =
+    stage "codegen.freeze" (fun () ->
+        if opts.symbolic_params then Assignment.freeze_parameters guard_bindings body
+        else Assignment.freeze_parameters (guard_bindings @ bindings) body)
+  in
+  if opts.cse then stage "codegen.cse" (fun () -> Assignment.cse body) else body
 
 let scheme_of (opts : options) (p : Params.t) =
   let dx = if opts.symbolic_params then Expr.sym "dx" else Expr.num p.dx in
@@ -58,26 +65,35 @@ let euler_stores ctx (p : Params.t) ~src ~dst rhs_list =
     rhs_list
 
 let make_full opts ctx p ~name ~src ~dst rhs_continuous =
-  let scheme = scheme_of opts p in
-  let rhs = List.map (Fd.Discretize.discretize scheme) rhs_continuous in
-  let body = optimize opts ~bindings:ctx.Model.bindings (euler_stores ctx p ~src ~dst rhs) in
-  Ir.Kernel.make ~name ~dim:p.dim body
+  let stores =
+    stage "codegen.discretize" (fun () ->
+        let scheme = scheme_of opts p in
+        let rhs = List.map (Fd.Discretize.discretize scheme) rhs_continuous in
+        euler_stores ctx p ~src ~dst rhs)
+  in
+  let body = optimize opts ~bindings:ctx.Model.bindings stores in
+  stage "codegen.lower" (fun () -> Ir.Kernel.make ~name ~dim:p.dim body)
 
 let make_split opts ctx p ~name ~src ~dst ~stag_field rhs_continuous =
-  let scheme = scheme_of opts p in
-  let registry = Fd.Discretize.make_registry stag_field in
-  let rhs = List.map (Fd.Discretize.discretize_split scheme ~registry) rhs_continuous in
+  let registry, rhs =
+    stage "codegen.discretize" (fun () ->
+        let scheme = scheme_of opts p in
+        let registry = Fd.Discretize.make_registry stag_field in
+        (registry, List.map (Fd.Discretize.discretize_split scheme ~registry) rhs_continuous))
+  in
   let stag_body =
     optimize opts ~bindings:ctx.Model.bindings (Fd.Discretize.registry_kernel_body registry)
   in
-  let main_body = optimize opts ~bindings:ctx.Model.bindings (euler_stores ctx p ~src ~dst rhs) in
+  let main_stores = stage "codegen.discretize" (fun () -> euler_stores ctx p ~src ~dst rhs) in
+  let main_body = optimize opts ~bindings:ctx.Model.bindings main_stores in
   let axes = List.init p.dim Fun.id in
-  {
-    stag =
-      Ir.Kernel.make ~iteration:(Ir.Kernel.StaggeredSweep axes) ~name:(name ^ "_stag")
-        ~dim:p.dim stag_body;
-    main = Ir.Kernel.make ~name:(name ^ "_main") ~dim:p.dim main_body;
-  }
+  stage "codegen.lower" (fun () ->
+      {
+        stag =
+          Ir.Kernel.make ~iteration:(Ir.Kernel.StaggeredSweep axes) ~name:(name ^ "_stag")
+            ~dim:p.dim stag_body;
+        main = Ir.Kernel.make ~name:(name ^ "_main") ~dim:p.dim main_body;
+      })
 
 (** Gibbs-simplex projection run in place on the updated phase field:
     clip to [0,∞) and renormalize the sum to 1 (the obstacle potential is
@@ -106,15 +122,17 @@ let projection_kernel (p : Params.t) (f : Model.fields) =
 
 (** Generate all kernels of a model instance. *)
 let generate ?(opts = default_options) (p : Params.t) =
-  let f = Model.make_fields p in
-  let ctx = Model.make_ctx ~symbolic:opts.symbolic_params in
-  let phi_rhs = Array.to_list (Model.phi_rhs ctx p f) in
+  let f, ctx =
+    stage "codegen.pde" (fun () ->
+        (Model.make_fields p, Model.make_ctx ~symbolic:opts.symbolic_params))
+  in
+  let phi_rhs = stage "codegen.pde" (fun () -> Array.to_list (Model.phi_rhs ctx p f)) in
   let phi_full = make_full opts ctx p ~name:"phi_full" ~src:f.phi_src ~dst:f.phi_dst phi_rhs in
   let phi_split =
     make_split opts ctx p ~name:"phi_split" ~src:f.phi_src ~dst:f.phi_dst
       ~stag_field:f.phi_stag phi_rhs
   in
-  let mu_rhs = Array.to_list (Model.mu_rhs ctx p f) in
+  let mu_rhs = stage "codegen.pde" (fun () -> Array.to_list (Model.mu_rhs ctx p f)) in
   let mu_full, mu_split =
     if mu_rhs = [] then (None, None)
     else
@@ -130,7 +148,9 @@ let generate ?(opts = default_options) (p : Params.t) =
     phi_split;
     mu_full;
     mu_split;
-    projection = (if Model.needs_projection p then Some (projection_kernel p f) else None);
+    projection =
+      stage "codegen.lower" (fun () ->
+          if Model.needs_projection p then Some (projection_kernel p f) else None);
     bindings = guard_bindings @ ctx.Model.bindings;
   }
 

@@ -80,54 +80,95 @@ let common_factors terms =
           common)
       first rest
 
+(* Per-call memo tables for [factor_common] and [cost], keyed on structural
+   equality.  [expand] returns a DAG whose subterms are physically shared;
+   walked as a tree it can be thousands of times larger than its node set.
+   Both functions are pure in the term's structure, so a hit is exact, and
+   [Expr.equal] (Stdlib.compare) returns at once on physically equal
+   values, so a shared subterm is looked up in O(1).  A key on [==] would
+   miss the structurally equal copies of unshared terms, which then pile up
+   in one hash bucket. *)
+module Memo = Hashtbl.Make (struct
+  type t = Expr.t
+
+  let equal = equal
+  let hash = Hashtbl.hash
+end)
+
+let memoize f =
+  let memo = Memo.create 256 in
+  let rec go e =
+    match Memo.find_opt memo e with
+    | Some r -> r
+    | None ->
+      let r = f go e in
+      Memo.add memo e r;
+      r
+  in
+  go
+
 (** Factor out the greatest common monomial of a sum:
     [a*x*y + b*x*z] becomes [x*(a*y + b*z)].  Applied recursively. *)
-let rec factor_common e =
-  match e with
-  | Add xs -> (
-    let xs = List.map factor_common xs in
-    let common = List.filter (fun (b, _) -> not (is_num b)) (common_factors xs) in
-    match common with
-    | [] -> add xs
-    | common ->
-      let g = mul (List.map (fun (b, n) -> pow b n) common) in
-      let reduced = List.map (fun t -> factor_common (div t g)) xs in
-      mul [ g; add reduced ])
-  | Mul xs -> mul (List.map factor_common xs)
-  | Pow (b, n) -> pow (factor_common b) n
-  | Fun (f, xs) -> fn f (List.map factor_common xs)
-  | Diff (x, d) -> Diff (factor_common x, d)
-  | Select (c, t, f) -> select c (factor_common t) (factor_common f)
-  | e -> e
+let factor_common e =
+  memoize
+    (fun factor_common -> function
+      | Add xs -> (
+        let xs = List.map factor_common xs in
+        let common = List.filter (fun (b, _) -> not (is_num b)) (common_factors xs) in
+        match common with
+        | [] -> add xs
+        | common ->
+          let g = mul (List.map (fun (b, n) -> pow b n) common) in
+          let reduced = List.map (fun t -> factor_common (div t g)) xs in
+          mul [ g; add reduced ])
+      | Mul xs -> mul (List.map factor_common xs)
+      | Pow (b, n) -> pow (factor_common b) n
+      | Fun (f, xs) -> fn f (List.map factor_common xs)
+      | Diff (x, d) -> Diff (factor_common x, d)
+      | Select (c, t, f) -> select c (factor_common t) (factor_common f)
+      | e -> e)
+    e
+
+(* Cost of one node, children excluded. *)
+let node_cost = function
+  | Add xs -> List.length xs - 1
+  | Mul xs -> List.length xs - 1
+  | Pow (_, n) -> if n < 0 then 16 + abs n - 1 else n - 1
+  | Fun (Sqrt, _) -> 10
+  | Fun (Rsqrt, _) -> 2
+  | Fun ((Exp | Log | Sin | Cos | Tanh), _) -> 20
+  | Fun ((Fabs | Fmin | Fmax), _) -> 1
+  | Select _ -> 1
+  | _ -> 0
 
 (** Abstract operation cost used to pick between rewritten forms; division
-    and square roots are weighted like the paper's normalized FLOPs. *)
+    and square roots are weighted like the paper's normalized FLOPs.  The
+    cost is that of the term as a tree: a shared subterm counts once per
+    occurrence. *)
 let cost e =
-  fold
-    (fun acc n ->
-      acc
-      +
-      match n with
-      | Add xs -> List.length xs - 1
-      | Mul xs -> List.length xs - 1
-      | Pow (_, n) -> if n < 0 then 16 + abs n - 1 else n - 1
-      | Fun (Sqrt, _) -> 10
-      | Fun (Rsqrt, _) -> 2
-      | Fun ((Exp | Log | Sin | Cos | Tanh), _) -> 20
-      | Fun ((Fabs | Fmin | Fmax), _) -> 1
-      | Select _ -> 1
-      | _ -> 0)
-    0 e
+  memoize
+    (fun cost e -> List.fold_left (fun acc x -> acc + cost x) (node_cost e) (children e))
+    e
+
+(* Terms with more nodes than this are not expanded: distribution would
+   blow up. *)
+let expand_limit = 1500
 
 (** Try both expansion and factoring and keep the cheaper form — the
     discretization layer's per-term simplification strategy.  Expansion is
     skipped for very large terms where distribution would blow up. *)
-let simplify_term ?(expand_limit = 1500) e =
+let simplify_term e =
   let candidates =
     if count_nodes e > expand_limit then [ e; factor_common e ]
-    else [ e; expand e; factor_common e; factor_common (expand e) ]
+    else
+      let x = expand e in
+      [ e; x; factor_common e; factor_common x ]
   in
-  List.fold_left (fun best c -> if cost c < cost best then c else best) e candidates
+  let scored = List.map (fun c -> (c, cost c)) candidates in
+  fst
+    (List.fold_left
+       (fun (best, cb) (c, cc) -> if cc < cb then (c, cc) else (best, cb))
+       (List.hd scored) scored)
 
 (** Substitute fixed model parameters by their numeric values and re-run the
     smart constructors, folding constants throughout ("the symbolic

@@ -162,6 +162,80 @@ let test_fluctuation_term_generates_rand () =
   Alcotest.(check bool) "kernel contains Philox calls" true
     (Backend.Ccode.kernel_uses_rand g.phi_full)
 
+(* ---- P2 pins ---- *)
+
+let p2 = lazy (Pfcore.Genkernels.generate (Pfcore.Params.p2 ()))
+let p2_2d = lazy (Pfcore.Genkernels.generate (Pfcore.Params.p2 ~dim:2 ()))
+
+let opcount = Alcotest.testable Field.Opcount.pp ( = )
+
+let row loads stores adds muls divs sqrts rsqrts others =
+  { Field.Opcount.loads; stores; adds; muls; divs; sqrts; rsqrts; others }
+
+(* Operation counts of every variant and the MD5 of the emitted C of the
+   full sweeps, as the plain tree-walking [Simplify] produced them: an
+   optimizer rewrite that must keep the kernels, such as the memoised
+   [cost] and [factor_common], may not move one operation or byte. *)
+let check_p2_pins g ~rows:(phi_full, phi_stag, phi_main, mu_full, mu_stag, mu_main)
+    ~md5:(md5_phi, md5_mu) =
+  let g : Pfcore.Genkernels.t = Lazy.force g in
+  let mu_pair = Option.get g.mu_split in
+  List.iter
+    (fun (label, expected, k) -> Alcotest.check opcount label expected (counts k))
+    [
+      ("phi full", phi_full, g.phi_full);
+      ("phi stag", phi_stag, g.phi_split.stag);
+      ("phi main", phi_main, g.phi_split.main);
+      ("mu full", mu_full, Option.get g.mu_full);
+      ("mu stag", mu_stag, mu_pair.stag);
+      ("mu main", mu_main, mu_pair.main);
+    ];
+  let md5 k = Digest.to_hex (Digest.string (Backend.Ccode.emit (Ir.Lower.run k))) in
+  Alcotest.(check string) "phi_full C md5" md5_phi (md5 g.phi_full);
+  Alcotest.(check string) "mu_full C md5" md5_mu (md5 (Option.get g.mu_full))
+
+let test_p2_pins () =
+  check_p2_pins p2
+    ~rows:
+      ( row 58 3 445 1084 28 0 0 42,
+        row 48 9 163 421 12 0 0 18,
+        row 40 3 137 266 4 0 0 6,
+        row 79 1 258 480 13 12 18 42,
+        row 60 3 123 228 6 6 9 21,
+        row 13 1 21 36 1 0 0 0 )
+    ~md5:("bb2bd869781a477180f33d32804567b3", "cbf3746d41d1ec968737d7100535d135")
+
+let test_p2_2d_pins () =
+  check_p2_pins p2_2d
+    ~rows:
+      ( row 28 3 268 688 20 0 0 30,
+        row 24 6 86 245 8 0 0 12,
+        row 28 3 108 216 4 0 0 6,
+        row 43 1 133 270 9 8 12 28,
+        row 33 2 60 123 4 4 6 14,
+        row 11 1 19 35 1 0 0 0 )
+    ~md5:("c01693f7914899da37b8f47fbd3e065c", "e4a65d356cda4f6e621b45a3d093afd1")
+
+(* The first staggered φ flux of P2 is under the expansion limit, and its
+   expansion is a DAG of a few thousand distinct nodes that is a tree of
+   14 M.  [cost] keeps tree semantics: a shared subterm counts once per
+   occurrence, so the expanded candidate still costs what it did when it
+   was walked as a tree. *)
+let test_p2_expanded_cost () =
+  let open Pfcore in
+  let p = Params.p2 () in
+  let f = Model.make_fields p in
+  let ctx = Model.make_ctx ~symbolic:false in
+  let scheme = Genkernels.scheme_of Genkernels.default_options p in
+  let registry = Fd.Discretize.make_registry f.phi_stag in
+  List.iter
+    (fun rhs -> ignore (Fd.Discretize.discretize_split scheme ~registry rhs))
+    (Array.to_list (Model.phi_rhs ctx p f));
+  let rhs = (List.hd (Fd.Discretize.registry_kernel_body registry)).Field.Assignment.rhs in
+  Alcotest.(check int) "stag assignment 0 nodes" 1319 (Symbolic.Expr.count_nodes rhs);
+  Alcotest.(check int) "cost of its expansion" 12_033_733
+    (Symbolic.Simplify.cost (Symbolic.Simplify.expand rhs))
+
 let test_config_parameter_count () =
   (* paper §5.1: >50 material parameters for 4 phases / 3 components *)
   Alcotest.(check bool) "P1 has > 50 config parameters" true
@@ -182,6 +256,9 @@ let suite =
     Alcotest.test_case "eutectic front advances" `Slow test_eutectic_front_advances;
     Alcotest.test_case "fluctuation generates Philox" `Quick test_fluctuation_term_generates_rand;
     Alcotest.test_case "config parameter count" `Quick test_config_parameter_count;
+    Alcotest.test_case "P2 op counts and C pinned" `Quick test_p2_pins;
+    Alcotest.test_case "P2-2d op counts and C pinned" `Quick test_p2_2d_pins;
+    Alcotest.test_case "P2 expanded flux keeps tree cost" `Quick test_p2_expanded_cost;
   ]
 
 let test_vtk_output () =

