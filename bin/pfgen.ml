@@ -462,7 +462,7 @@ let backend_conv =
   Arg.conv (parse, print)
 
 let backend_arg =
-  Arg.(value & opt (some backend_conv) None & info [ "backend" ] ~doc:"VM execution backend: interp (reference interpreter) or jit (closure-compiled tapes, bitwise identical, compiled once per kernel program). Default: \\$PFGEN_VM_BACKEND or interp." ~docv:"BACKEND")
+  Arg.(value & opt (some backend_conv) None & info [ "backend" ] ~doc:"VM execution backend: interp (the portable tape program, compiled when a kernel is bound) or jit (the same tape compiled to native code with ocamlopt once per kernel program, bitwise identical; falls back to the tape where no native compiler is available). Default: \\$PFGEN_VM_BACKEND or interp." ~docv:"BACKEND")
 
 let size_arg = Arg.(value & opt int 32 & info [ "size" ] ~doc:"Domain edge length in cells.")
 let steps_arg = Arg.(value & opt int 50 & info [ "steps" ] ~doc:"Time steps to run.")

@@ -7,12 +7,12 @@
     the monotonic clock, and the measured per-cell costs are compared
     against [Perfmodel.Ecm] single-core predictions.
 
-    Absolute VM numbers are meaningless (the VM interprets compiled
-    closures, not SIMD machine code), so the oracle compares {e ratios}:
-    split/full per kernel family and φ/μ per model.  Both sides of a ratio
-    run in the same interpreter with the same per-operation overhead, so if
-    the generated operation structure matches what the model was fed, the
-    ratios must agree up to interpreter noise.  The drift of a pair is
+    Absolute VM numbers are meaningless (the VM runs a tape or
+    OCaml-compiled program, not SIMD machine code), so the oracle compares
+    {e ratios}: split/full per kernel family and φ/μ per model.  Both sides
+    of a ratio run on the same backend with the same per-operation
+    overhead, so if the generated operation structure matches what the
+    model was fed, the ratios must agree up to measurement noise.  The drift of a pair is
 
       deviation = |ln (measured_ratio / predicted_ratio)|
 
@@ -40,8 +40,8 @@ type pair = {
 type report = { block_n : int; sweeps : int; rows : row list; pairs : pair list }
 
 (** Documented drift tolerance: a pair is in agreement when its measured
-    ratio is within a factor of e^1.2 ≈ 3.3 of the model's.  The VM executes
-    every operation as a closure call while the ECM weighs adds, mults,
+    ratio is within a factor of e^1.2 ≈ 3.3 of the model's.  The VM pays
+    the same dispatch for every operation while the ECM weighs adds, mults,
     divisions and memory traffic differently, so ratios track but do not
     coincide; observed deviations are ≈0.3–0.6 (see EXPERIMENTS.md). *)
 let threshold = 1.2

@@ -226,7 +226,7 @@ let engine_vs_interp ~count =
 (* ------------------------------------------------------------------ *)
 
 (* Domain slicing only partitions the outer loop — every cell runs the
-   identical closures on the same data, so this one is bitwise.  [Rand]
+   identical program on the same data, so this one is bitwise.  [Rand]
    streams are keyed by global cell index and must not see the slicing. *)
 let serial_vs_domains ~count =
   QCheck.Test.make ~name:"oracle4: serial sweep = multi-domain sweep (bitwise)" ~count
@@ -475,11 +475,11 @@ let pooled_vs_serial ~count =
           !ok)
         serial.Vm.Engine.buffers pooled.Vm.Engine.buffers)
 
-(* The JIT backend is guilty until proven bitwise-identical: over the same
-   random model/grid/tile/domain space as oracle 7 (all 8 P1/P2 kernel
-   variants, QCheck-shrunk on failure), a compiled pooled sweep must write
-   exactly what the interpreter's serial sweep writes — the interpreter
-   stays the reference implementation. *)
+(* The native tier is guilty until proven bitwise-identical: over the
+   same random model/grid/tile/domain space as oracle 7 (all 8 P1/P2
+   kernel variants, QCheck-shrunk on failure), a pooled [Jit] sweep must
+   write exactly what the serial [Interp] sweep of the portable tape
+   writes — the tape, held to [Eval] by oracle 2, stays the reference. *)
 let jit_vs_interp ~count =
   QCheck.Test.make ~name:"oracle8: jit backend = interpreter (bitwise)" ~count
     Gen.arb_pool

@@ -99,9 +99,8 @@ let hoisted_count t = Array.fold_left (fun acc l -> acc + List.length l) 0 t.hoi
 (** Depth-indexed instruction view of the lowering: [groups.(d)] is the
     assignment list executed at loop depth [d] (0 = preheader, [d] inside
     the [d]-th loop of [loop_order]), and [groups.(dim)] is the per-cell
-    body.  Both VM backends (the interpreter and the JIT) consume the
-    lowering through this single view, so they cannot disagree about which
-    instruction runs at which depth. *)
+    body.  The VM's tape compiler ([Vm.Jit.compile]), which both VM
+    backends run, consumes the lowering through this view. *)
 let groups t =
   let dim = Array.length t.loop_order in
   Array.init (dim + 1) (fun d -> if d = dim then t.body else t.hoisted.(d))

@@ -1,25 +1,13 @@
 (** Kernel execution engine.
 
-    Compiles the post-optimization assignment list — the *same* IR the C
-    backend prints — into closures over flat float arrays and sweeps it over
-    a block, honoring the lowering result (loop order, hoisted loop-invariant
-    assignments).  Multicore execution slices the outermost loop across
-    OCaml domains, mirroring the generated code's OpenMP parallelization. *)
+    Binds the post-optimization assignment list — the *same* IR the C
+    backend prints — to a block as a {!Jit} program over flat float arrays
+    and sweeps it over the block, honoring the lowering result (loop
+    order, hoisted loop-invariant assignments).  Multicore execution
+    slices the sweep into tiles run across OCaml domains, mirroring the
+    generated code's OpenMP parallelization. *)
 
 open Symbolic
-open Field
-
-type ctx = {
-  params : float array;
-  temps : float array;
-  mutable base : int;       (** linear index of the current cell *)
-  mutable cx : int;         (** global cell coordinates *)
-  mutable cy : int;
-  mutable cz : int;
-  mutable step : int;       (** time step, keys the Philox streams *)
-  mutable dx : float;
-  global_dims : int array;
-}
 
 (** A block: the local piece of the domain one rank owns, with one buffer
     per field.  All buffers share dims and ghost width. *)
@@ -47,9 +35,10 @@ let buffer block (f : Fieldspec.t) =
 (* Backend selection                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(** How sweeps execute: [Interp] walks the closure tree built by [bind]
-    (the reference semantics); [Jit] runs the tape program compiled by
-    {!Jit} — bitwise identical by contract, held to it by oracle 8. *)
+(** How sweeps execute: [Interp] runs the portable tape program [bind]
+    compiled (the reference, held to [Eval] by oracle 2); [Jit] runs the
+    memoized native-tier program of {!Jit.get} — bitwise identical to the
+    tape by contract, held to it by oracle 8. *)
 type backend = Interp | Jit
 
 let backend_label = function Interp -> "interp" | Jit -> "jit"
@@ -91,123 +80,6 @@ let cell_reader ?(component = 0) ~backend block (f : Fieldspec.t) =
       Array.unsafe_get data !idx
 
 (* ------------------------------------------------------------------ *)
-(* Expression compilation                                              *)
-(* ------------------------------------------------------------------ *)
-
-type binder = {
-  param_slot : string -> int option;
-  temp_slot : string -> int option;
-  resolve : Fieldspec.access -> Buffer.t * int;  (* buffer, element delta *)
-}
-
-let rec compile (b : binder) (e : Expr.t) : ctx -> float =
-  match e with
-  | Expr.Num x -> fun _ -> x
-  | Expr.Sym s -> (
-    match b.temp_slot s with
-    | Some i -> fun c -> Array.unsafe_get c.temps i
-    | None -> (
-      match b.param_slot s with
-      | Some i -> fun c -> Array.unsafe_get c.params i
-      | None -> invalid_arg ("Engine.compile: unbound symbol " ^ s)))
-  | Expr.Coord d ->
-    let pick : ctx -> int =
-      match d with 0 -> (fun c -> c.cx) | 1 -> (fun c -> c.cy) | _ -> fun c -> c.cz
-    in
-    fun c -> (float_of_int (pick c) +. 0.5) *. c.dx
-  | Expr.Access a ->
-    let buf, delta = b.resolve a in
-    fun c -> Array.unsafe_get buf.Buffer.data (c.base + delta)
-  | Expr.Rand slot ->
-    fun c ->
-      let cell = ((c.cz * c.global_dims.(1)) + c.cy) * c.global_dims.(0) + c.cx in
-      Philox.symmetric ~cell ~step:c.step ~slot
-  | Expr.Diff _ -> invalid_arg "Engine.compile: Diff survived discretization"
-  | Expr.Add [ x; y ] ->
-    let fx = compile b x and fy = compile b y in
-    fun c -> fx c +. fy c
-  | Expr.Add [ x; y; z ] ->
-    let fx = compile b x and fy = compile b y and fz = compile b z in
-    fun c -> fx c +. fy c +. fz c
-  | Expr.Add xs ->
-    let fs = Array.of_list (List.map (compile b) xs) in
-    fun c ->
-      let acc = ref 0. in
-      for i = 0 to Array.length fs - 1 do
-        acc := !acc +. (Array.unsafe_get fs i) c
-      done;
-      !acc
-  | Expr.Mul [ x; y ] ->
-    let fx = compile b x and fy = compile b y in
-    fun c -> fx c *. fy c
-  | Expr.Mul [ x; y; z ] ->
-    let fx = compile b x and fy = compile b y and fz = compile b z in
-    fun c -> fx c *. fy c *. fz c
-  | Expr.Mul xs ->
-    let fs = Array.of_list (List.map (compile b) xs) in
-    fun c ->
-      let acc = ref 1. in
-      for i = 0 to Array.length fs - 1 do
-        acc := !acc *. (Array.unsafe_get fs i) c
-      done;
-      !acc
-  | Expr.Pow (x, 2) ->
-    let fx = compile b x in
-    fun c ->
-      let v = fx c in
-      v *. v
-  | Expr.Pow (x, -1) ->
-    let fx = compile b x in
-    fun c -> 1. /. fx c
-  | Expr.Pow (x, -2) ->
-    let fx = compile b x in
-    fun c ->
-      let v = fx c in
-      1. /. (v *. v)
-  | Expr.Pow (x, n) ->
-    let fx = compile b x in
-    let m = abs n in
-    fun c ->
-      let v = fx c in
-      let rec go acc k = if k = 0 then acc else go (acc *. v) (k - 1) in
-      let p = go 1. m in
-      if n < 0 then 1. /. p else p
-  | Expr.Fun (f, [ x ]) ->
-    let fx = compile b x in
-    let g : float -> float =
-      match f with
-      | Expr.Sqrt -> sqrt
-      | Expr.Rsqrt -> fun v -> 1. /. sqrt v
-      | Expr.Exp -> exp
-      | Expr.Log -> log
-      | Expr.Sin -> sin
-      | Expr.Cos -> cos
-      | Expr.Tanh -> tanh
-      | Expr.Fabs -> abs_float
-      | Expr.Fmin | Expr.Fmax -> invalid_arg "Engine.compile: unary min/max"
-    in
-    fun c -> g (fx c)
-  | Expr.Fun (Expr.Fmin, [ x; y ]) ->
-    let fx = compile b x and fy = compile b y in
-    fun c -> Expr.c_fmin (fx c) (fy c)
-  | Expr.Fun (Expr.Fmax, [ x; y ]) ->
-    let fx = compile b x and fy = compile b y in
-    fun c -> Expr.c_fmax (fx c) (fy c)
-  | Expr.Fun _ -> invalid_arg "Engine.compile: bad function arity"
-  | Expr.Select (cond, t, f) ->
-    let ft = compile b t and ff = compile b f in
-    let test : ctx -> bool =
-      match cond with
-      | Expr.Lt (x, y) ->
-        let fx = compile b x and fy = compile b y in
-        fun c -> fx c < fy c
-      | Expr.Le (x, y) ->
-        let fx = compile b x and fy = compile b y in
-        fun c -> fx c <= fy c
-    in
-    fun c -> if test c then ft c else ff c
-
-(* ------------------------------------------------------------------ *)
 (* Kernel binding                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -215,24 +87,8 @@ type bound = {
   kernel : Ir.Kernel.t;
   lowered : Ir.Lower.t;
   block : block;
-  param_names : string array;
-  n_temps : int;
-  preheader : (ctx -> unit) array;        (* depth 0 *)
-  per_loop : (ctx -> unit) array array;   (* depth 1 .. dim-1 *)
-  body : (ctx -> unit) array;
-  uses_rand : bool;
+  program : Jit.compiled;  (** the portable tape program, compiled once here *)
 }
-
-let compile_assignment binder (a : Assignment.t) : ctx -> unit =
-  let rhs = compile binder a.rhs in
-  match a.lhs with
-  | Assignment.Temp s -> (
-    match binder.temp_slot s with
-    | Some i -> fun c -> Array.unsafe_set c.temps i (rhs c)
-    | None -> assert false)
-  | Assignment.Store acc ->
-    let buf, delta = binder.resolve acc in
-    fun c -> Array.unsafe_set buf.Buffer.data (c.base + delta) (rhs c)
 
 let bind ?(fastest = 0) (kernel : Ir.Kernel.t) (block : block) =
   let required =
@@ -260,123 +116,10 @@ let bind ?(fastest = 0) (kernel : Ir.Kernel.t) (block : block) =
       (Printf.sprintf "Engine.bind: kernel %s needs ghost %d, block has %d"
          kernel.Ir.Kernel.name required block.ghost);
   let lowered = Ir.Lower.run ~fastest kernel in
-  let temps = Assignment.defined_temps kernel.Ir.Kernel.body in
-  let temp_table = Hashtbl.create 64 in
-  List.iteri (fun i s -> Hashtbl.replace temp_table s i) temps;
-  let params = Ir.Kernel.parameters kernel in
-  let param_table = Hashtbl.create 16 in
-  List.iteri (fun i s -> Hashtbl.replace param_table s i) params;
-  let binder =
-    {
-      param_slot = Hashtbl.find_opt param_table;
-      temp_slot = Hashtbl.find_opt temp_table;
-      resolve =
-        (fun a ->
-          let buf = buffer block a.Fieldspec.field in
-          (buf, Buffer.access_delta buf a));
-    }
-  in
-  let compile_list l = Array.of_list (List.map (compile_assignment binder) l) in
-  let dim = kernel.Ir.Kernel.dim in
-  let groups = Ir.Lower.groups lowered in
-  let uses_rand =
-    List.exists
-      (fun (a : Assignment.t) ->
-        Expr.fold (fun u n -> u || match n with Expr.Rand _ -> true | _ -> false) false a.rhs)
-      kernel.Ir.Kernel.body
-  in
-  {
-    kernel;
-    lowered;
-    block;
-    param_names = Array.of_list params;
-    n_temps = List.length temps;
-    preheader = compile_list groups.(0);
-    per_loop = Array.init (dim - 1) (fun i -> compile_list groups.(i + 1));
-    body = compile_list groups.(dim);
-    uses_rand;
-  }
-
-let run_group g c =
-  for i = 0 to Array.length g - 1 do
-    (Array.unsafe_get g i) c
-  done
-
-(* Sweep one tile (3D): [lo]/[hi] are inclusive loop bounds indexed by loop
-   depth, following the lowering's loop_order.  A full sweep is the single
-   tile spanning every range; cache blocking shrinks the outer depths. *)
-let sweep_tile_3d (b : bound) (c : ctx) ~(lo : int array) ~(hi : int array) =
-  let order = b.lowered.Ir.Lower.loop_order in
-  let a0 = order.(0) and a1 = order.(1) and a2 = order.(2) in
-  let block = b.block in
-  let any_buf = snd (List.hd block.buffers) in
-  let stride = any_buf.Buffer.stride in
-  let coords = Array.make 3 0 in
-  let set_coord ax v =
-    coords.(ax) <- v;
-    let g = v + block.offset.(ax) in
-    match ax with 0 -> c.cx <- g | 1 -> c.cy <- g | _ -> c.cz <- g
-  in
-  for i0 = lo.(0) to hi.(0) do
-    set_coord a0 i0;
-    run_group b.per_loop.(0) c;
-    for i1 = lo.(1) to hi.(1) do
-      set_coord a1 i1;
-      run_group b.per_loop.(1) c;
-      set_coord a2 lo.(2);
-      c.base <- Buffer.base_index any_buf coords;
-      for i2 = lo.(2) to hi.(2) do
-        set_coord a2 i2;
-        run_group b.body c;
-        c.base <- c.base + stride.(a2)
-      done
-    done
-  done
-
-let sweep_tile_2d (b : bound) (c : ctx) ~(lo : int array) ~(hi : int array) =
-  let order = b.lowered.Ir.Lower.loop_order in
-  let a0 = order.(0) and a1 = order.(1) in
-  let block = b.block in
-  let any_buf = snd (List.hd block.buffers) in
-  let stride = any_buf.Buffer.stride in
-  let coords = Array.make 2 0 in
-  let set_coord ax v =
-    coords.(ax) <- v;
-    let g = v + block.offset.(ax) in
-    match ax with 0 -> c.cx <- g | _ -> c.cy <- g
-  in
-  for i0 = lo.(0) to hi.(0) do
-    set_coord a0 i0;
-    run_group b.per_loop.(0) c;
-    set_coord a1 lo.(1);
-    c.base <- Buffer.base_index any_buf coords;
-    for i1 = lo.(1) to hi.(1) do
-      set_coord a1 i1;
-      run_group b.body c;
-      c.base <- c.base + stride.(a1)
-    done
-  done
-
-let make_ctx (b : bound) ~params ~step =
-  let values =
-    Array.map
-      (fun name ->
-        match List.assoc_opt name params with
-        | Some v -> v
-        | None -> invalid_arg ("Engine.run: missing parameter " ^ name))
-      b.param_names
-  in
-  {
-    params = values;
-    temps = Array.make (max 1 b.n_temps) 0.;
-    base = 0;
-    cx = 0;
-    cy = 0;
-    cz = 0;
-    step;
-    dx = Option.value (List.assoc_opt "dx" params) ~default:1.;
-    global_dims = b.block.global_dims;
-  }
+  let program = Jit.compile ~dims:block.dims ~ghost:block.ghost kernel lowered in
+  (* every field the program touches must have a buffer on this block *)
+  Array.iter (fun f -> ignore (buffer block f)) program.Jit.fields;
+  { kernel; lowered; block; program }
 
 let sweep_range (b : bound) ax =
   let n = b.block.dims.(ax) in
@@ -424,13 +167,13 @@ let interior_ranges (b : bound) ~(ranges : (int * int) array) ~halo =
       (max rlo halo, min rhi (b.block.dims.(order.(d)) - 1 - halo)))
     ranges
 
-(* The sweep skeleton, parameterized over [wrap], which brackets each pool
+(* The sweep driver, parameterized over [wrap], which brackets each pool
    lane's share of the tiles ([lane] 0 is the coordinating domain, [i > 0]
    the i-th persistent pool worker).  Instrumented and plain execution
    share this code so the two paths cannot drift.
 
-   Every tile runs with a fresh [ctx]: the preheader and per-depth hoisted
-   groups are deterministic functions of the parameters and loop
+   Every tile runs on a fresh slot array: the preheader and per-depth
+   hoisted groups are deterministic functions of the parameters and loop
    coordinates (they are recomputed at every outer-loop iteration even in a
    serial sweep), so recomputing them per tile changes nothing — which is
    exactly why tiled, pooled execution is bitwise identical to serial. *)
@@ -462,39 +205,31 @@ let run_tiled ?wrap ?(backend = Interp) ?(region = Whole) ~num_domains ~tile ~st
       let inner, shell = Schedule.split_halo ~ranges ~interior ?shape () in
       (match region with Interior _ -> inner | _ -> shell)
   in
-  let exec =
+  let prog =
     match backend with
-    | Interp ->
-      fun ~lane:_ ti ->
-        let t : Schedule.tile = tiles.(ti) in
-        let c = make_ctx b ~params ~step in
-        run_group b.preheader c;
-        if dim = 3 then sweep_tile_3d b c ~lo:t.Schedule.lo ~hi:t.Schedule.hi
-        else sweep_tile_2d b c ~lo:t.Schedule.lo ~hi:t.Schedule.hi
+    | Interp -> b.program
     | Jit ->
       (* Memoized lookup on every sweep: a hit costs one hash, and the
-         hit/miss counters are what the warm-cache gates watch.  Field
-         storage is re-resolved here — after the lookup, per sweep — so
-         compiled programs survive Buffer.swap. *)
-      let comp = Jit.get ~dims:b.block.dims ~ghost:b.block.ghost b.kernel b.lowered in
-      let datas =
-        Array.map (fun f -> (buffer b.block f).Buffer.data) comp.Jit.fields
-      in
-      fun ~lane:_ ti ->
-        let t : Schedule.tile = tiles.(ti) in
-        (* per tile, like make_ctx, so a missing binding surfaces from
-           inside the pool exactly as the interpreter's does *)
-        let pvals =
-          Array.map
-            (fun name ->
-              match List.assoc_opt name params with
-              | Some v -> v
-              | None -> invalid_arg ("Engine.run: missing parameter " ^ name))
-            comp.Jit.param_names
-        in
-        let dx = Option.value (List.assoc_opt "dx" params) ~default:1. in
-        Jit.exec_tile comp ~datas ~pvals ~dx ~offset:b.block.offset
-          ~global_dims:b.block.global_dims ~step ~lo:t.Schedule.lo ~hi:t.Schedule.hi
+         hit/miss counters are what the warm-cache gates watch. *)
+      Jit.get ~dims:b.block.dims ~ghost:b.block.ghost b.kernel b.lowered
+  in
+  (* Field storage is re-resolved per sweep, so programs survive
+     Buffer.swap. *)
+  let datas = Array.map (fun f -> (buffer b.block f).Buffer.data) prog.Jit.fields in
+  let exec ~lane:_ ti =
+    let t : Schedule.tile = tiles.(ti) in
+    (* per tile, so a missing binding surfaces from inside the pool *)
+    let pvals =
+      Array.map
+        (fun name ->
+          match List.assoc_opt name params with
+          | Some v -> v
+          | None -> invalid_arg ("Engine.run: missing parameter " ^ name))
+        prog.Jit.param_names
+    in
+    let dx = Option.value (List.assoc_opt "dx" params) ~default:1. in
+    Jit.exec_tile prog ~datas ~pvals ~dx ~offset:b.block.offset
+      ~global_dims:b.block.global_dims ~step ~lo:t.Schedule.lo ~hi:t.Schedule.hi
   in
   Pool.run ?wrap ~domains:num_domains ~ntiles:(Array.length tiles) exec
 

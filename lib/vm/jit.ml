@@ -1,15 +1,20 @@
-(** JIT: closure-compiled kernel backend.
+(** Kernel programs: the one portable executor and its native tier.
 
-    The interpreter ([Engine.compile]) walks a closure tree per expression
-    node per cell; this module instead compiles each post-CSE IR
-    instruction once into a flat three-address program over a single SSA
-    slot array (the Petalisp kernel-compiler idiom: compile the innermost
-    body once, reuse it under the outer loops).  Per instruction the
-    compiler emits a tape segment — packed [op, dst, a, b] quads into an
-    int array — and wraps it in an OCaml closure over the runtime state;
-    per loop depth the segments are fused into one tape executed by a
-    single dispatch loop, so a cell costs one indirect call per depth
-    group instead of one per expression node.
+    Each post-CSE IR instruction is compiled once into a flat
+    three-address program over a single SSA slot array (the Petalisp
+    kernel-compiler idiom: compile the innermost body once, reuse it under
+    the outer loops).  Per instruction the compiler emits a tape segment —
+    packed [op, dst, a, b] quads into an int array — and per loop depth
+    the segments are fused into one tape executed by a single dispatch
+    loop, so a cell costs one indirect call per depth group instead of one
+    per expression node.
+
+    Two tiers, one per engine backend.  [compile] builds the portable
+    *tape* program, which [Engine.bind] keeps on every bound kernel and
+    [--backend interp] runs.  [get] adds the *native* step on top
+    ([native]: the same tape retranslated to OCaml and dynlinked, see
+    [Jit_native]) and memoizes the result; [--backend jit] runs that.  Only
+    [get] touches the memo [cache] and its [cache_stats].
 
     Slot-array layout (all compile-time indices):
 
@@ -21,23 +26,22 @@
       [nc+np+nt .. n_slots)     expression scratch, reset per instruction
     v}
 
-    Bitwise contract: the emitted program replays the interpreter's exact
-    arithmetic — the same association for n-ary [Add]/[Mul] (2- and 3-ary
-    chains, larger folds seeded from 0.0 / 1.0), the same [Pow] special
-    cases, [Rsqrt] as [1.0 /. sqrt], NaN-aware [c_fmin]/[c_fmax].  The only
-    intentional divergence is [Select]: the interpreter evaluates the taken
-    branch lazily, the tape evaluates both branches before selecting.
-    Expressions are pure (stores happen only at the assignment root and
-    [Rand] is counter-based Philox), so the extra evaluation cannot perturb
-    any observable value — the differential oracle holds the JIT to that.
+    Arithmetic contract: n-ary [Add]/[Mul] associate left to right (2-
+    and 3-ary as plain chains, larger folds seeded from 0.0 / 1.0), [Pow]
+    is repeated multiplication with [1 /. p] for negative exponents,
+    [Rsqrt] is [1.0 /. sqrt], and [c_fmin]/[c_fmax] are NaN-aware.
+    [Select] evaluates both branches before selecting.  Expressions are
+    pure (stores happen only at the assignment root and [Rand] is
+    counter-based Philox), so the extra evaluation cannot perturb any
+    observable value.  Oracle 2 holds the tape to [Eval]; oracle 8 holds
+    the native tier to the tape, bit for bit.
 
-    Compiled programs never capture buffer storage: [Buffer.swap] swaps the
-    [data] fields under us between sweeps, so field operands are indices
-    into a per-sweep [datas] table resolved by the engine.  A program
-    depends only on (kernel structure, loop order, interior dims, ghost
-    width) — that tuple is the memo key, cached alongside [Tune]'s
-    decisions, so every block of a forest with equal dims shares one
-    compilation. *)
+    Programs never capture buffer storage: [Buffer.swap] swaps the [data]
+    fields under us between sweeps, so field operands are indices into a
+    per-sweep [datas] table resolved by the engine.  A program depends
+    only on (kernel structure, loop order, interior dims, ghost width) —
+    that tuple is [get]'s memo key, so every block of a forest with equal
+    dims shares one native compilation. *)
 
 open Symbolic
 open Field
@@ -142,16 +146,25 @@ let exec_tape (tape : int array) (st : st) =
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type emitbuf = { mutable rev : int list; mutable len : int }
+(* A tape under construction.  The layout pass emits into an empty
+   [quads] and only counts; the final pass emits into a tape allocated at
+   the counted length.  Each tape is allocated once, at its final size,
+   which keeps peak memory flat where many kernels are bound. *)
+type emitbuf = { quads : int array; mutable len : int }
 
 let push4 b op dst a c =
-  b.rev <- c :: a :: dst :: op :: b.rev;
+  if b.len < Array.length b.quads then begin
+    b.quads.(b.len) <- op;
+    b.quads.(b.len + 1) <- dst;
+    b.quads.(b.len + 2) <- a;
+    b.quads.(b.len + 3) <- c
+  end;
   b.len <- b.len + 4
 
 (* Compile-time state.  Compilation runs in two passes over the same
-   emitter: pass 1 with dummy slot bases only to count interned constants
-   and the scratch high-water mark, pass 2 with the final layout.  Both
-   passes traverse identically, so ordinals agree. *)
+   emitter: pass 1 only to count interned constants, the scratch
+   high-water mark and each tape's length, pass 2 with the final layout.
+   Both passes traverse identically, so ordinals and lengths agree. *)
 type cs = {
   const_tbl : (int64, int) Hashtbl.t;  (* float bits -> ordinal *)
   mutable rev_consts : float list;
@@ -222,8 +235,8 @@ let rec emit ?dst cs b (e : Expr.t) : int =
     push4 b op d sx sy;
     d
   in
-  (* left fold [acc op x1 op x2 ...] starting from slot [acc] — the
-     interpreter's reference-cell fold for n-ary Add/Mul, same association *)
+  (* left fold [acc op x1 op x2 ...] starting from slot [acc], for n-ary
+     Add/Mul *)
   let chain op acc xs =
     let rec go acc = function
       | [] -> acc
@@ -306,8 +319,8 @@ let rec emit ?dst cs b (e : Expr.t) : int =
     push4 b op_div d one t;
     d
   | Expr.Pow (x, n) ->
-    (* the interpreter's repeated multiply: p = 1*v*v*...; negative
-       exponents finish with 1/p *)
+    (* repeated multiply: p = 1*v*v*...; negative exponents finish
+       with 1/p *)
     let s = emit cs b x in
     let one = const_slot cs 1. in
     let m = abs n in
@@ -383,24 +396,24 @@ let emit_instruction cs b (a : Assignment.t) =
     let bi = field_index cs acc.Fieldspec.field in
     push4 b op_store v bi (delta_of cs acc)
 
-let tape_of cs instrs =
-  let b = { rev = []; len = 0 } in
+let emit_group cs ~len instrs =
+  let b = { quads = Array.make len 0; len = 0 } in
   List.iter (emit_instruction cs b) instrs;
-  Array.of_list (List.rev b.rev)
+  b
 
 (* ------------------------------------------------------------------ *)
 (* Native code generation (tape -> OCaml source)                       *)
 (* ------------------------------------------------------------------ *)
 
 (* The tape caps out near 3 ns per quad: every operation pays dispatch
-   plus two slot-array loads and a store.  For the big generated kernels
-   (P1 phi-full is ~1100 quads per cell of almost pure add/mul) that is
-   not enough headroom over the closure-compiled interpreter, so the
-   default tier retranslates each tape into OCaml source in which every
-   slot write becomes a fresh [let]-bound local — the SSA form ocamlopt
-   register-allocates — and [Jit_native] compiles and dynlinks it.  The
-   translation is quad-by-quad off the *same* tape, so evaluation order
-   and therefore bits are identical to the tape tier by construction.
+   plus two slot-array loads and a store, and the big generated kernels
+   (P1 phi-full is ~1100 quads per cell of almost pure add/mul) pay it
+   per cell.  The native tier therefore retranslates each tape into OCaml
+   source in which every slot write becomes a fresh [let]-bound local —
+   the SSA form ocamlopt register-allocates — and [Jit_native] compiles
+   and dynlinks it.  The translation is quad-by-quad off the *same* tape,
+   so evaluation order and therefore bits are identical to the tape tier
+   by construction.
 
    Group protocol: one function per loop-depth group over the same state
    the tape sees, [slots datas base cx cy cz step dx gd0 gd1].  Within a
@@ -598,27 +611,34 @@ let native_source ~nc ~temp_base ~scratch_base ~template tapes =
 (* ------------------------------------------------------------------ *)
 
 type compiled = {
-  fingerprint : Digest.t;
   dim : int;
   loop_order : int array;
   fields : Fieldspec.t array;  (** operand table; index = [datas] index *)
   param_names : string array;
   param_base : int;
+  scratch_base : int;
   n_slots : int;
   template : float array;      (** constants preloaded, rest zero *)
+  tapes : int array array;     (** depth-indexed tape segments *)
   groups : instr array;        (** depth-indexed: [groups.(d)] at depth d,
                                    [groups.(dim)] is the per-cell body *)
-  n_ops : int;                 (** total tape quads, for introspection *)
   stride : int array;
   ghost : int;
   native : bool;               (** groups are dynlinked machine code *)
-  native_note : string;        (** "native", or why the tape tier is in use *)
+  native_note : string;        (** "native", "tape", or why [native] fell
+                                   back to the tape *)
 }
+
+(** Total tape quads, for introspection. *)
+let n_ops (c : compiled) = Array.fold_left (fun acc t -> acc + (Array.length t / 4)) 0 c.tapes
 
 let wrap_native (f : native_group) : instr =
  fun st -> f st.slots st.datas st.base st.cx st.cy st.cz st.step st.dx st.gd0 st.gd1
 
-let compile ~fingerprint ~dims ~ghost (kernel : Ir.Kernel.t) (lowered : Ir.Lower.t) =
+(** The tape step: the portable program for [kernel] on a block of
+    [dims]/[ghost].  Not memoized — [Engine.bind] calls it once per bound
+    kernel. *)
+let compile ~dims ~ghost (kernel : Ir.Kernel.t) (lowered : Ir.Lower.t) =
   let dim = kernel.Ir.Kernel.dim in
   let padded = Array.map (fun n -> n + (2 * ghost)) dims in
   let stride = Array.make dim 1 in
@@ -651,55 +671,66 @@ let compile ~fingerprint ~dims ~ghost (kernel : Ir.Kernel.t) (lowered : Ir.Lower
       comp_stride;
     }
   in
-  (* pass 1: layout discovery only *)
-  let cs1 = make_cs ~const_base:0 ~param_base:0 ~temp_base:0 ~scratch_base:0 in
-  Array.iter (fun instrs -> ignore (tape_of cs1 instrs)) groups_src;
+  (* pass 1: the final layout, except that the constants — whose count
+     this pass discovers — sit below slot 0, so no two regions overlap and
+     the pass emits exactly pass 2's moves; its tapes are only counted *)
+  let cs1 = make_cs ~const_base:min_int ~param_base:0 ~temp_base:np ~scratch_base:(np + nt) in
+  let lengths = Array.map (fun instrs -> (emit_group cs1 ~len:0 instrs).len) groups_src in
   let nc = cs1.n_consts in
-  let cs = make_cs ~const_base:0 ~param_base:nc ~temp_base:(nc + np)
-      ~scratch_base:(nc + np + nt)
+  let scratch_base = nc + np + nt in
+  let cs = make_cs ~const_base:0 ~param_base:nc ~temp_base:(nc + np) ~scratch_base in
+  let tapes =
+    Array.map2
+      (fun len instrs ->
+        let b = emit_group cs ~len instrs in
+        assert (b.len = len);
+        b.quads)
+      lengths groups_src
   in
-  let tapes = Array.map (tape_of cs) groups_src in
   assert (cs.n_consts = nc);
-  let n_slots = max 1 (nc + np + nt + cs.max_scratch) in
+  let n_slots = max 1 (scratch_base + cs.max_scratch) in
   let template = Array.make n_slots 0. in
   List.iteri (fun i x -> template.(nc - 1 - i) <- x) cs.rev_consts;
-  (* native tier: same tapes, retranslated to let-bound OCaml and
-     dynlinked; any failure keeps the portable tape closures *)
-  let native_fns =
-    if not (Jit_native.available ()) then Error "native tier unavailable"
-    else
-      let source =
-        native_source ~nc ~temp_base:(nc + np) ~scratch_base:(nc + np + nt) ~template
-          tapes
-      in
-      match Jit_native.load ~modname:(Jit_native.fresh_modname ()) ~source with
-      | Ok payload ->
-        let fns : native_group array = Obj.magic payload in
-        if Array.length fns = Array.length tapes then Ok fns
-        else Error "native tier: group count mismatch"
-      | Error reason -> Error reason
-  in
-  let groups, native, native_note =
-    match native_fns with
-    | Ok fns -> (Array.map wrap_native fns, true, "native")
-    | Error note -> (Array.map (fun tape -> fun st -> exec_tape tape st) tapes, false, note)
-  in
   {
-    fingerprint;
     dim;
     loop_order = lowered.Ir.Lower.loop_order;
     fields = Array.of_list cs.fields;
     param_names = Array.of_list params;
     param_base = nc;
+    scratch_base;
     n_slots;
     template;
-    groups;
-    n_ops = Array.fold_left (fun acc t -> acc + (Array.length t / 4)) 0 tapes;
+    tapes;
+    groups = Array.map (fun tape -> fun st -> exec_tape tape st) tapes;
     stride;
     ghost;
-    native;
-    native_note;
+    native = false;
+    native_note = "tape";
   }
+
+(** The native step: [c]'s tapes retranslated to let-bound OCaml and
+    dynlinked.  Any failure keeps [c]'s tape groups, with the reason in
+    [native_note]. *)
+let native (c : compiled) =
+  let loaded =
+    if not (Jit_native.available ()) then Error "native tier unavailable"
+    else
+      let source =
+        native_source ~nc:c.param_base
+          ~temp_base:(c.param_base + Array.length c.param_names)
+          ~scratch_base:c.scratch_base ~template:c.template c.tapes
+      in
+      match Jit_native.load ~modname:(Jit_native.fresh_modname ()) ~source with
+      | Ok payload ->
+        let fns : native_group array = Obj.magic payload in
+        if Array.length fns = Array.length c.tapes then Ok fns
+        else Error "native tier: group count mismatch"
+      | Error reason -> Error reason
+  in
+  match loaded with
+  | Ok fns ->
+    { c with groups = Array.map wrap_native fns; native = true; native_note = "native" }
+  | Error note -> { c with native_note = note }
 
 (* ------------------------------------------------------------------ *)
 (* Memo table                                                          *)
@@ -740,10 +771,11 @@ let clear_cache () =
    registers no metrics (the disabled-sink silence invariant). *)
 let count name = if Obs.Sink.enabled () then Obs.Metrics.incr (Obs.Metrics.counter name)
 
-(** The compiled program for [kernel] on a block of [dims]/[ghost] —
-    memoized; the engine calls this once per sweep, so [cache_stats]
-    misses count compilations and hits count reused sweeps (the
-    zero-recompile-after-warmup gate watches the miss count). *)
+(** The native-tier program for [kernel] on a block of [dims]/[ghost]
+    ([compile] then [native]) — memoized; the engine calls this once per
+    [Jit] sweep, so [cache_stats] misses count native compilations and
+    hits count reused sweeps (the zero-recompile-after-warmup gate watches
+    the miss count). *)
 let get ~dims ~ghost (kernel : Ir.Kernel.t) (lowered : Ir.Lower.t) =
   let fp = fingerprint ~dims ~ghost kernel lowered in
   match Hashtbl.find_opt cache fp with
@@ -754,7 +786,7 @@ let get ~dims ~ghost (kernel : Ir.Kernel.t) (lowered : Ir.Lower.t) =
   | None ->
     incr misses;
     count "jit.miss";
-    let build () = compile ~fingerprint:fp ~dims ~ghost kernel lowered in
+    let build () = native (compile ~dims ~ghost kernel lowered) in
     let c =
       if Obs.Sink.enabled () then Obs.Span.with_ ~cat:"vm" "vm.jit.compile" build
       else build ()
@@ -773,9 +805,11 @@ let base_index (c : compiled) coords =
   Array.iteri (fun d x -> idx := !idx + ((x + c.ghost) * c.stride.(d))) coords;
   !idx
 
-(* The sweep skeletons mirror Engine.sweep_tile_3d/2d instruction for
-   instruction: same loop order, same coordinate updates, same running
-   base index.  [lo]/[hi] are inclusive loop-depth bounds. *)
+(* The sweep skeletons, shared by both tiers: loops in the lowering's
+   loop order, the depth groups run at the head of their loop, and a
+   running base index steps along the innermost axis.  [lo]/[hi] are
+   inclusive loop-depth bounds; a full sweep is the single tile spanning
+   every range, cache blocking shrinks the outer depths. *)
 let sweep3 (c : compiled) (st : st) ~offset ~(lo : int array) ~(hi : int array) =
   let a0 = c.loop_order.(0) and a1 = c.loop_order.(1) and a2 = c.loop_order.(2) in
   let g1 = c.groups.(1) and g2 = c.groups.(2) and body = c.groups.(3) in

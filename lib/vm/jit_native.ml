@@ -17,15 +17,10 @@
     outlive the (deleted) scratch files.
 
     Everything here degrades softly: no native Dynlink (bytecode host),
-    no compiler on PATH, a compile error, or [PFGEN_JIT_NATIVE=0] all
-    yield [Error reason], and the caller keeps the portable tape
-    closures.  Correctness never depends on this module — only the
-    speedup gate does. *)
-
-let disabled () =
-  match Sys.getenv_opt "PFGEN_JIT_NATIVE" with
-  | Some ("0" | "off" | "tape") -> true
-  | _ -> false
+    no compiler on PATH, or a compile error all yield [Error reason], and
+    the caller keeps the portable tape program.  Correctness never
+    depends on this module — only the speedup gate does.  To run the
+    tape itself, select [--backend interp]. *)
 
 (* The compiler to shell out to, discovered once.  [ocamlopt.opt] is the
    fast native-code binary; plain [ocamlopt] and [ocamlfind ocamlopt]
@@ -36,8 +31,7 @@ let compiler =
        (fun c -> Sys.command (c ^ " -version > /dev/null 2>&1") = 0)
        [ "ocamlopt.opt"; "ocamlopt"; "ocamlfind ocamlopt" ])
 
-let available () =
-  (not (disabled ())) && Dynlink.is_native && Lazy.force compiler <> None
+let available () = Dynlink.is_native && Lazy.force compiler <> None
 
 (* Scratch directory, one per process; files are removed after each load,
    the directory itself at exit would need a hook — it is tmp, leave it. *)
@@ -72,8 +66,7 @@ let read_file path =
     value.  The result is an [Obj.t]: only the generator knows the
     closure types, so only the generator may cast. *)
 let load ~modname ~source : (Obj.t, string) result =
-  if disabled () then Error "disabled by PFGEN_JIT_NATIVE"
-  else if not Dynlink.is_native then Error "bytecode host: cannot load .cmxs"
+  if not Dynlink.is_native then Error "bytecode host: cannot load .cmxs"
   else
     match Lazy.force compiler with
     | None -> Error "no ocamlopt on PATH"

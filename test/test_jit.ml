@@ -147,8 +147,8 @@ let test_tile_larger_than_sweep () =
 (* ---- exception inside a compiled tile ---- *)
 
 (* A compiled sweep whose parameters are unbound raises from inside the
-   first tile (parameter resolution is per tile, like the interpreter's
-   make_ctx); the pool must stay balanced and usable, for both backends. *)
+   first tile (parameter resolution is per tile, for both backends); the
+   pool must stay balanced and usable. *)
 let test_exception_in_compiled_body () =
   with_obs (fun () ->
       let k =
@@ -203,35 +203,55 @@ let test_simulate_backend_bitwise () =
 let p2_gen = lazy (Pfcore.Genkernels.generate (Pfcore.Params.p2 ()))
 
 (* The native tier (runtime ocamlopt + Dynlink, [Jit_native]) must be
-   bitwise interchangeable with the portable tape closures it replaces —
+   bitwise interchangeable with the portable tape it is translated from —
    including the replicated Philox stream behind P2's fluctuation term.
-   [PFGEN_JIT_NATIVE=0] forces the tape tier; both runs clear the memo
-   cache so each genuinely compiles through its own tier. *)
+   [Interp] runs the tape each kernel was bound with; [Jit] runs the
+   memoized native program, from a cleared memo so it genuinely compiles. *)
 let test_native_vs_tape_bitwise () =
   let g = Lazy.force p2_gen in
-  let run () =
+  let run backend =
+    let sim = Pfcore.Timestep.create ~backend ~num_domains:1 ~dims:[| 6; 6; 6 |] g in
+    Pfcore.Simulation.init_smooth sim;
+    Pfcore.Timestep.run sim ~steps:2;
+    sim
+  in
+  let tape = run Vm.Engine.Interp in
+  Vm.Jit.clear_cache ();
+  let native = run Vm.Engine.Jit in
+  (if Vm.Jit_native.available () then
+     (* prove the jit run really took the native tier *)
+     let programs = Hashtbl.fold (fun _ c acc -> c :: acc) Vm.Jit.cache [] in
+     Alcotest.(check bool) "native tier engaged when available" true
+       (programs <> [] && List.for_all (fun c -> c.Vm.Jit.native) programs));
+  Vm.Jit.clear_cache ();
+  Alcotest.(check bool) "tape tier and native tier write identical bits" true
+    (buffers_bits_equal tape.Pfcore.Timestep.block native.Pfcore.Timestep.block)
+
+(* [Interp] runs the tape program compiled at bind time and never the
+   native memo: binding P1 and sweeping it on the interp backend, serial
+   and pooled, leaves [Jit.cache] and its hit/miss counters untouched. *)
+let p1_gen = lazy (Pfcore.Genkernels.generate (Pfcore.Params.p1 ()))
+
+let test_interp_bypasses_native_memo () =
+  Vm.Jit.clear_cache ();
+  ignore (run_avg ~num_domains:1 ~dims:[| 8; 6 |] ());
+  let stats0 = Vm.Jit.cache_stats () and len0 = Hashtbl.length Vm.Jit.cache in
+  let run num_domains =
     let sim =
-      Pfcore.Timestep.create ~backend:Vm.Engine.Jit ~num_domains:1 ~dims:[| 6; 6; 6 |] g
+      Pfcore.Timestep.create ~backend:Vm.Engine.Interp ~num_domains ~dims:[| 6; 6; 6 |]
+        (Lazy.force p1_gen)
     in
     Pfcore.Simulation.init_smooth sim;
     Pfcore.Timestep.run sim ~steps:2;
     sim
   in
-  let prev = Sys.getenv_opt "PFGEN_JIT_NATIVE" in
-  Unix.putenv "PFGEN_JIT_NATIVE" "0";
-  Vm.Jit.clear_cache ();
-  let tape = run () in
-  Unix.putenv "PFGEN_JIT_NATIVE" (Option.value ~default:"1" prev);
-  Vm.Jit.clear_cache ();
-  let native = run () in
-  (if Vm.Jit_native.available () then
-     (* prove the second run really took the native tier *)
-     let k = avg_kernel () in
-     let c = Vm.Jit.get ~dims:[| 8; 6 |] ~ghost:1 k (Ir.Lower.run k) in
-     Alcotest.(check bool) "native tier engaged when available" true c.Vm.Jit.native);
-  Vm.Jit.clear_cache ();
-  Alcotest.(check bool) "tape tier and native tier write identical bits" true
-    (buffers_bits_equal tape.Pfcore.Timestep.block native.Pfcore.Timestep.block)
+  let serial = run 1 in
+  let pooled = run 2 in
+  Alcotest.(check (pair int int)) "interp sweeps leave cache_stats unchanged" stats0
+    (Vm.Jit.cache_stats ());
+  Alcotest.(check int) "interp sweeps add no memo entry" len0 (Hashtbl.length Vm.Jit.cache);
+  Alcotest.(check bool) "pooled interp = serial interp (bitwise)" true
+    (buffers_bits_equal serial.Pfcore.Timestep.block pooled.Pfcore.Timestep.block)
 
 (* ---- tuner backend decision ---- *)
 
@@ -293,6 +313,8 @@ let suite =
       test_simulate_backend_bitwise;
     Alcotest.test_case "jit: native tier bitwise = tape tier (P2, Philox)" `Quick
       test_native_vs_tape_bitwise;
+    Alcotest.test_case "jit: interp sweeps bypass the native memo (P1)" `Quick
+      test_interp_bypasses_native_memo;
     Alcotest.test_case "tune: backend is a tunable variant" `Quick test_tune_backend;
     Alcotest.test_case "jit: golden Chrome trace with vm.jit.compile span" `Quick
       test_golden_trace_jit;

@@ -169,38 +169,3 @@ let suite =
     Alcotest.test_case "loop-invariant hoisting" `Quick test_engine_hoisting_matches_unhoisted;
     Alcotest.test_case "staggered sweep extent" `Quick test_staggered_sweep_extent;
   ]
-
-(* --------------- typing pass --------------------------------------- *)
-
-let test_typing_classifies () =
-  let k =
-    Ir.Kernel.make ~name:"typed" ~dim:2
-      [
-        Field.Assignment.assign_temp "a" (mul [ sym "alpha"; coord 0 ]);
-        Field.Assignment.store (Fieldspec.center g2) (add [ sym "a"; field f2 ]);
-      ]
-  in
-  let types = Ir.Typing.parameter_types k in
-  Alcotest.(check (list (pair string string)))
-    "parameters are doubles"
-    [ ("alpha", "double") ]
-    (List.map (fun (s, t) -> (s, Ir.Typing.to_string t)) types);
-  let env = Ir.Typing.check k in
-  Alcotest.(check bool) "coordinate requires an int->double cast" true (env.Ir.Typing.casts > 0)
-
-let test_typing_rejects_diff () =
-  let body = [ Field.Assignment.store (Fieldspec.center g2) (Expr.Diff (field f2, 0)) ] in
-  (* Kernel.make accepts it (ghost analysis only); typing must reject *)
-  let k = Ir.Kernel.make ~name:"bad" ~dim:2 body in
-  Alcotest.(check bool) "Diff rejected" true
-    (try
-       ignore (Ir.Typing.check k);
-       false
-     with Ir.Typing.Type_error _ -> true)
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "typing classifies symbols" `Quick test_typing_classifies;
-      Alcotest.test_case "typing rejects Diff" `Quick test_typing_rejects_diff;
-    ]
