@@ -767,6 +767,14 @@ let jit_bench () =
   let compile_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
   Fmt.pr "tape: %d quads, tier: %s@." (Vm.Jit.n_ops compiled)
     compiled.Vm.Jit.native_note;
+  (* P1 mu-full, the longest P1 body: the compile that chunking the
+     native source was for (DESIGN.md §11).  Recorded, not gated. *)
+  let mu = Option.get gen.Pfcore.Genkernels.mu_full in
+  let t0 = Unix.gettimeofday () in
+  let mu_compiled = Vm.Jit.get ~dims ~ghost:2 mu (Ir.Lower.run mu) in
+  let mu_full_compile_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  Fmt.pr "mu-full tape: %d quads, one-time compile %.2f ms (recorded only)@."
+    (Vm.Jit.n_ops mu_compiled) mu_full_compile_ms;
   let t_interp = best Vm.Engine.Interp in
   let _, misses_warm = Vm.Jit.cache_stats () in
   let t_jit = best Vm.Engine.Jit in
@@ -784,6 +792,7 @@ let jit_bench () =
   metric "jit_ns_per_cell" (ns t_jit);
   metric "speedup" speedup;
   metric "compile_ms" compile_ms;
+  metric "mu_full_compile_ms" mu_full_compile_ms;
   metric "native_tier" (if compiled.Vm.Jit.native then 1. else 0.);
   metric "recompiles_after_warmup" (float_of_int recompiles);
   metric "gate_threshold" threshold;

@@ -268,7 +268,9 @@ let region_suffix = function Whole -> "" | Interior _ -> ".interior" | Shell _ -
     When the observability sink is enabled, the sweep is wrapped in a
     [kernel:<name>] span, each pool lane's share gets its own
     [slice:<name>] span on its stable lane track, per-kernel cell/sweep
-    counters plus an ns-per-cell histogram are updated, and pooled sweeps
+    counters plus an ns-per-cell histogram are updated ([cold_ns_per_cell]
+    instead of [ns_per_cell] for a [Jit] sweep that compiled its native
+    program, so warm histograms hold no compile), and pooled sweeps
     bump the global [vm.tiles]/[vm.steals] counters — all per sweep, never
     per cell, and all from the coordinating domain ([Obs.Metrics] is not
     thread-safe).  Disabled, the only cost is this one branch. *)
@@ -286,16 +288,20 @@ let run ?num_domains ?tile ?(step = 0) ?backend ?(region = Whole) ~params (b : b
       if lane = 0 then f ()  (* the coordinating lane lives inside the kernel span *)
       else Obs.Span.with_ ~cat:"vm" ~tid:lane ("slice:" ^ name) f
     in
+    let misses = snd (Jit.cache_stats ()) in
     let stats, dt_ns =
       Obs.Clock.time_ns (fun () ->
           Obs.Span.with_ ~cat:"vm" ~args:[ ("cells", float_of_int cells) ]
             ("kernel:" ^ name) (fun () ->
               run_tiled ~wrap ~backend ~region ~num_domains ~tile ~step ~params b))
     in
+    (* a sweep whose [Jit.get] missed timed a native compile too *)
+    let cold = snd (Jit.cache_stats ()) > misses in
     Obs.Metrics.add (Obs.Metrics.counter ("vm." ^ name ^ ".cells")) cells;
     Obs.Metrics.incr (Obs.Metrics.counter ("vm." ^ name ^ ".sweeps"));
     Obs.Metrics.observe
-      (Obs.Metrics.histogram ("vm." ^ name ^ ".ns_per_cell"))
+      (Obs.Metrics.histogram
+         ("vm." ^ name ^ if cold then ".cold_ns_per_cell" else ".ns_per_cell"))
       (dt_ns /. float_of_int (max 1 cells));
     if stats.Pool.lanes > 1 then begin
       Obs.Metrics.add (Obs.Metrics.counter "vm.tiles") stats.Pool.tiles_run;

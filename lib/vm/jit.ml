@@ -416,11 +416,27 @@ let emit_group cs ~len instrs =
    by construction.
 
    Group protocol: one function per loop-depth group over the same state
-   the tape sees, [slots datas base cx cy cz step dx gd0 gd1].  Within a
-   group, slot reads bind the array element once and writes stay in
-   locals; temporaries written by a non-body group are flushed back to
-   the slot array at group end (deeper groups read them from there).
-   The body group flushes nothing: nothing runs after it. *)
+   the tape sees, [slots datas base cx cy cz step dx gd0 gd1].  A group
+   longer than [chunk_quads] is printed as a chain of chunk functions run
+   in tape order, because ocamlopt's graph-colouring register allocator
+   is superlinear in function length (P1 mu-full's 1968-quad body spent
+   1.9 s of a 2.1 s compile in [regalloc] as one function).  Within a
+   chunk, slot reads bind the
+   array element once, on first use, and writes stay in locals.  A value
+   crosses a chunk boundary through the slot array: a definition that a
+   later chunk reads is stored to its slot right after its [let]
+   (store-at-definition).  Temporaries of a hoisted (non-body) group are
+   read by the deeper groups, so there every temporary's last definition
+   counts as read after the group's end and is stored the same way.
+   Storing at the definition, not at the chunk's end, keeps each live
+   range as short as the tape made it. *)
+
+(** Most quads in one native chunk function.  Measured on P1
+    (EXPERIMENTS.md, "Chunked native kernels"): 256 brings mu-full's
+    compile from ~2 s to ~0.3 s with warm steps unchanged; 128 made warm
+    mu-full sweeps ~5% slower, 384 compiled slower for no measurable
+    gain. *)
+let chunk_quads = 256
 
 let native_sig =
   "float array -> float array array -> int -> int -> int -> int -> int -> float -> \
@@ -471,12 +487,95 @@ let philox_symmetric cell step slot =
   (2. *. (float_of_int bits /. 9007199254740992.0)) -. 1.
 |}
 
-(* One group function.  [cur] maps slot -> OCaml expression currently
-   holding its value (a local name, or a literal for interned consts);
-   [written] collects temp slots to flush on non-body groups. *)
-let native_group_source buf ~name ~flush ~nc ~temp_base ~scratch_base ~template tape =
+(* The slots quad [o] reads and the slot it defines ([-1]: none).  A
+   [Select] quad also reads its [op_arg] quad's branches. *)
+let quad_reads tape o =
+  let a = tape.(o + 2) and b = tape.(o + 3) in
+  match tape.(o) with
+  | 0 | 1 | 2 | 15 | 16 -> [ a; b ]
+  | 3 | 8 | 9 | 10 | 11 | 12 | 13 | 14 -> [ a ]
+  | 5 -> [ tape.(o + 1) ]
+  | 17 | 18 -> [ a; b; tape.(o + 6); tape.(o + 7) ]
+  | _ -> []
+
+let quad_def tape o = match tape.(o) with 5 | 19 -> -1 | _ -> tape.(o + 1)
+
+(** Liveness of one group's tape, per defining quad: the quad of the
+    definition's last read, [-1] if it is never read, or the quad count
+    when it is live at the group's end — in a hoisted group, every
+    temporary's last definition, which the deeper groups read.  A pass
+    over the tape tracks each slot's reaching definition; constants
+    ([< nc]) are literals and have none. *)
+let last_reads ~nc ~temp_base ~scratch_base ~hoisted tape =
+  let nq = Array.length tape / 4 in
+  let last = Array.make nq (-1) in
+  let reaching : (int, int) Hashtbl.t = Hashtbl.create 256 in
+  for q = 0 to nq - 1 do
+    let o = 4 * q in
+    List.iter
+      (fun k ->
+        if k >= nc then
+          match Hashtbl.find_opt reaching k with Some d -> last.(d) <- q | None -> ())
+      (quad_reads tape o);
+    let d = quad_def tape o in
+    if d >= 0 then Hashtbl.replace reaching d q
+  done;
+  if hoisted then
+    Hashtbl.iter (fun k d -> if k >= temp_base && k < scratch_base then last.(d) <- nq) reaching;
+  last
+
+(** Chunk start quads of a tape, given its [last_reads]: each chunk holds
+    at most [chunk_quads] quads, and no cut separates a [Select] quad from
+    its [op_arg] quad.  Within the last quarter of the budget, the cut
+    goes where the fewest values are live across it (the latest such
+    place on a tie): each such value costs a store and a reload per cell.
+    A tape of at most [chunk_quads] quads is one chunk. *)
+let chunk_starts tape last =
+  let nq = Array.length tape / 4 in
+  (* live.(p): definitions before quad p that are read at or after it *)
+  let live = Array.make (nq + 1) 0 in
+  Array.iteri
+    (fun d r ->
+      if r > d then begin
+        live.(d + 1) <- live.(d + 1) + 1;
+        if r < nq then live.(r + 1) <- live.(r + 1) - 1
+      end)
+    last;
+  for p = 1 to nq do
+    live.(p) <- live.(p) + live.(p - 1)
+  done;
+  let cuttable p =
+    let op = tape.(4 * (p - 1)) in
+    op <> op_sellt && op <> op_selle
+  in
+  let rec go start acc =
+    if nq - start <= chunk_quads then List.rev (start :: acc)
+    else begin
+      let best = ref (-1) in
+      for p = start + chunk_quads - (chunk_quads / 4) to start + chunk_quads do
+        if cuttable p && (!best < 0 || live.(p) <= live.(!best)) then best := p
+      done;
+      go !best (start :: acc)
+    end
+  in
+  Array.of_list (go 0 [])
+
+(* The parameters of every group and chunk function.  The array types are
+   spelled out: a chunk whose quads only move values would otherwise leave
+   [slots] polymorphic, and ocamlopt would compile its accesses for a
+   generic array. *)
+let native_params =
+  "(slots : float array) (datas : float array array) base cx cy cz step dx gd0 gd1"
+
+let native_args = "slots datas base cx cy cz step dx gd0 gd1"
+
+(* One function [name] over quads [lo, hi) of [tape], ending in a tail
+   call of [next] on the same arguments when there is a next chunk.
+   [cur] maps slot -> OCaml expression currently holding its value (a
+   local name, or a literal for interned consts); a slot read before any
+   write in this function is loaded from the slot array. *)
+let native_chunk_source buf ~name ~next ~nc ~template ~stored tape ~lo ~hi =
   let cur : (int, string) Hashtbl.t = Hashtbl.create 64 in
-  let written : (int, unit) Hashtbl.t = Hashtbl.create 32 in
   let dat : (int, string) Hashtbl.t = Hashtbl.create 8 in
   let fresh =
     let k = ref 0 in
@@ -485,10 +584,7 @@ let native_group_source buf ~name ~flush ~nc ~temp_base ~scratch_base ~template 
       Printf.sprintf "v%d" !k
   in
   let line fmt = Printf.ksprintf (fun s -> Stdlib.Buffer.add_string buf ("  " ^ s ^ "\n")) fmt in
-  Stdlib.Buffer.add_string buf
-    (Printf.sprintf "let %s slots datas base cx cy cz step dx gd0 gd1 =\n" name);
-  line "ignore slots; ignore datas; ignore base; ignore cx; ignore cy; ignore cz;";
-  line "ignore step; ignore dx; ignore gd0; ignore gd1;";
+  Stdlib.Buffer.add_string buf (Printf.sprintf "let %s %s =\n" name native_params);
   let read k =
     if k < nc then float_lit template.(k)
     else
@@ -509,81 +605,107 @@ let native_group_source buf ~name ~flush ~nc ~temp_base ~scratch_base ~template 
       Hashtbl.replace dat bi d;
       d
   in
-  let write k e =
+  (* bind slot [k]'s new value; store it when a later chunk reads it *)
+  let define q k e =
+    Hashtbl.replace cur k e;
+    if stored.(q) then line "Array.unsafe_set slots %d %s;" k e
+  in
+  let write q k e =
     let v = fresh () in
     line "let %s = %s in" v e;
-    Hashtbl.replace cur k v;
-    if k >= temp_base && k < scratch_base then Hashtbl.replace written k ()
+    define q k v
   in
-  let n = Array.length tape in
-  let i = ref 0 in
-  while !i < n do
-    let o = !i in
+  let q = ref lo in
+  while !q < hi do
+    let o = 4 * !q in
     let op = tape.(o) and dst = tape.(o + 1) and a = tape.(o + 2) and b = tape.(o + 3) in
+    let w = write !q dst in
     (match op with
     | 0 ->
       let x = read a in
       let y = read b in
-      write dst (Printf.sprintf "%s +. %s" x y)
+      w (Printf.sprintf "%s +. %s" x y)
     | 1 ->
       let x = read a in
       let y = read b in
-      write dst (Printf.sprintf "%s *. %s" x y)
+      w (Printf.sprintf "%s *. %s" x y)
     | 2 ->
       let x = read a in
       let y = read b in
-      write dst (Printf.sprintf "%s /. %s" x y)
+      w (Printf.sprintf "%s /. %s" x y)
     | 3 ->
       (* mov: alias — locals are immutable, the expression stays valid *)
-      let x = read a in
-      Hashtbl.replace cur dst x;
-      if dst >= temp_base && dst < scratch_base then Hashtbl.replace written dst ()
-    | 4 -> write dst (Printf.sprintf "Array.unsafe_get %s (base + (%d))" (data a) b)
+      define !q dst (read a)
+    | 4 -> w (Printf.sprintf "Array.unsafe_get %s (base + (%d))" (data a) b)
     | 5 ->
       let v = read dst in
       line "Array.unsafe_set %s (base + (%d)) %s;" (data a) b v
     | 6 ->
       let c = match a with 0 -> "cx" | 1 -> "cy" | _ -> "cz" in
-      write dst (Printf.sprintf "(float_of_int %s +. 0.5) *. dx" c)
-    | 7 ->
-      write dst
-        (Printf.sprintf "philox_symmetric ((((cz * gd1) + cy) * gd0) + cx) step %d" a)
-    | 8 -> write dst (Printf.sprintf "sqrt %s" (read a))
-    | 9 -> write dst (Printf.sprintf "exp %s" (read a))
-    | 10 -> write dst (Printf.sprintf "log %s" (read a))
-    | 11 -> write dst (Printf.sprintf "sin %s" (read a))
-    | 12 -> write dst (Printf.sprintf "cos %s" (read a))
-    | 13 -> write dst (Printf.sprintf "tanh %s" (read a))
-    | 14 -> write dst (Printf.sprintf "abs_float %s" (read a))
+      w (Printf.sprintf "(float_of_int %s +. 0.5) *. dx" c)
+    | 7 -> w (Printf.sprintf "philox_symmetric ((((cz * gd1) + cy) * gd0) + cx) step %d" a)
+    | 8 -> w (Printf.sprintf "sqrt %s" (read a))
+    | 9 -> w (Printf.sprintf "exp %s" (read a))
+    | 10 -> w (Printf.sprintf "log %s" (read a))
+    | 11 -> w (Printf.sprintf "sin %s" (read a))
+    | 12 -> w (Printf.sprintf "cos %s" (read a))
+    | 13 -> w (Printf.sprintf "tanh %s" (read a))
+    | 14 -> w (Printf.sprintf "abs_float %s" (read a))
     | 15 ->
       let x = read a in
       let y = read b in
-      write dst (Printf.sprintf "c_fmin %s %s" x y)
+      w (Printf.sprintf "c_fmin %s %s" x y)
     | 16 ->
       let x = read a in
       let y = read b in
-      write dst (Printf.sprintf "c_fmax %s %s" x y)
+      w (Printf.sprintf "c_fmax %s %s" x y)
     | 17 | 18 ->
       let x = read a in
       let y = read b in
       let t = read tape.(o + 6) in
       let f = read tape.(o + 7) in
       let cmp = if op = 17 then "<" else "<=" in
-      write dst (Printf.sprintf "if %s %s %s then %s else %s" x cmp y t f);
-      i := o + 4
+      w (Printf.sprintf "if %s %s %s then %s else %s" x cmp y t f);
+      incr q
     | _ -> ());
-    i := !i + 4
+    incr q
   done;
-  if flush then
-    Hashtbl.iter
-      (fun k () -> line "Array.unsafe_set slots %d %s;" k (Hashtbl.find cur k))
-      written;
-  line "()";
+  (match next with Some n -> line "%s %s" n native_args | None -> line "()");
   Stdlib.Buffer.add_string buf "\n"
 
+(* Group [name] over [tape]: one function when the tape fits one chunk,
+   else chunk functions [name_0 .. name_k] printed last first, so that
+   each ends in a tail call of the next, and [name] bound to [name_0].
+   ocamlopt compiles a tail call to a jump with the arguments still in
+   their registers; a wrapper calling the chunks in turn had to save and
+   reload them around every call and measured a few percent slower on
+   warm P1 sweeps (DESIGN.md §11). *)
+let native_group_source buf ~name ~hoisted ~nc ~temp_base ~scratch_base ~template tape =
+  let nq = Array.length tape / 4 in
+  let last = last_reads ~nc ~temp_base ~scratch_base ~hoisted tape in
+  let starts = chunk_starts tape last in
+  let k = Array.length starts in
+  let stop c = if c + 1 < k then starts.(c + 1) else nq in
+  let chunk_of = Array.make (nq + 1) k in
+  Array.iteri (fun c s -> Array.fill chunk_of s (stop c - s) c) starts;
+  (* store-at-definition: the values a later chunk reads *)
+  let stored = Array.mapi (fun d r -> r >= 0 && chunk_of.(r) > chunk_of.(d)) last in
+  let chunk c ~name ~next =
+    native_chunk_source buf ~name ~next ~nc ~template ~stored tape ~lo:starts.(c) ~hi:(stop c)
+  in
+  if k = 1 then chunk 0 ~name ~next:None
+  else begin
+    let names = Array.init k (Printf.sprintf "%s_%d" name) in
+    for c = k - 1 downto 0 do
+      chunk c ~name:names.(c) ~next:(if c + 1 < k then Some names.(c + 1) else None)
+    done;
+    Stdlib.Buffer.add_string buf (Printf.sprintf "let %s = %s\n\n" name names.(0))
+  end
+
 (** The complete generated module: helper preludes, one function per
-    depth group, and an initializer that hands the closures to the host
-    by raising through [Dynlink] (see [Jit_native]). *)
+    depth group (chunked, see [chunk_quads]), and an initializer that
+    hands the group closures to the host by raising through [Dynlink]
+    (see [Jit_native]). *)
 let native_source ~nc ~temp_base ~scratch_base ~template tapes =
   let buf = Stdlib.Buffer.create 65536 in
   Stdlib.Buffer.add_string buf "(* generated by Vm.Jit — compiled at runtime, never stored *)\n";
@@ -598,7 +720,7 @@ let native_source ~nc ~temp_base ~scratch_base ~template tapes =
   let body = Array.length tapes - 1 in
   Array.iteri
     (fun g tape ->
-      native_group_source buf ~name:(Printf.sprintf "g%d" g) ~flush:(g < body) ~nc
+      native_group_source buf ~name:(Printf.sprintf "g%d" g) ~hoisted:(g < body) ~nc
         ~temp_base ~scratch_base ~template tape)
     tapes;
   Stdlib.Buffer.add_string buf

@@ -33,15 +33,19 @@ let compiler =
 
 let available () = Dynlink.is_native && Lazy.force compiler <> None
 
-(* Scratch directory, one per process; files are removed after each load,
-   the directory itself at exit would need a hook — it is tmp, leave it. *)
+(* Scratch directory, one per process.  Files are removed after each
+   load; the directory is removed at exit when this process created it
+   (a stale one left by an earlier process with the same pid is reused
+   and left alone). *)
 let scratch_dir =
   lazy
     (let dir =
        Filename.concat (Filename.get_temp_dir_name ())
          (Printf.sprintf "pfgen-jit-%d" (Unix.getpid ()))
      in
-     (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+     (match Unix.mkdir dir 0o700 with
+     | () -> at_exit (fun () -> try Unix.rmdir dir with Unix.Unix_error _ -> ())
+     | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ());
      dir)
 
 let counter = ref 0

@@ -61,6 +61,37 @@ let test_mutation_minmax_caught () =
   | _ -> Alcotest.fail "injected fmin -> fmax bug was not caught by oracle 1"
 
 (* ------------------------------------------------------------------ *)
+(* Pinned oracle counterexamples                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The shrunk oracle-2 sample that [pfgen check --samples 100 --seed 2]
+   used to fail on.  [rand_1**-2] reaches ~1e4 and [t0**3] ~1e12, where
+   the engine's repeated multiply and [Eval]'s [**] differ in the last
+   bit and [cos] turns that bit into a different value.  The sample is
+   outside oracle 2's guard band, so the law accepts it vacuously. *)
+let test_oracle2_pinned_pow () =
+  let src = Fieldspec.create ~dim:2 ~components:3 "src" in
+  let dst = Fieldspec.create ~dim:2 ~components:3 "dst" in
+  let s =
+    {
+      Check.Gen.src;
+      dst;
+      body =
+        [
+          Field.Assignment.assign_temp "t0" (Expr.Pow (Expr.rand 1, -2));
+          Field.Assignment.store
+            (Fieldspec.center ~component:2 dst)
+            (Expr.fn Expr.Cos [ Expr.Pow (Expr.sym "t0", 3) ]);
+        ];
+      params = [ ("alpha", 0.); ("beta", 0.); ("dx", 1.) ];
+      seed = 301;
+    }
+  in
+  Alcotest.(check bool) "sample leaves the guard band" true
+    (Check.Oracles.run_interp s = None);
+  Alcotest.(check bool) "oracle 2 accepts it" true (Check.Oracles.engine_matches_interp s)
+
+(* ------------------------------------------------------------------ *)
 (* Eval edge cases (divergences would leak into generated C)           *)
 (* ------------------------------------------------------------------ *)
 
@@ -153,6 +184,8 @@ let suite =
         test_mutation_caught;
       Alcotest.test_case "mutation: fmin -> fmax caught" `Quick
         test_mutation_minmax_caught;
+      Alcotest.test_case "oracle2: pinned rand**-2, cos(t0**3) sample" `Quick
+        test_oracle2_pinned_pow;
       Alcotest.test_case "eval edge: pow negative exponent at 0" `Quick
         test_pow_negative_at_zero;
       Alcotest.test_case "eval edge: select boundary Le vs Lt" `Quick

@@ -202,30 +202,38 @@ let test_simulate_backend_bitwise () =
 
 let p2_gen = lazy (Pfcore.Genkernels.generate (Pfcore.Params.p2 ()))
 
-(* The native tier (runtime ocamlopt + Dynlink, [Jit_native]) must be
-   bitwise interchangeable with the portable tape it is translated from —
-   including the replicated Philox stream behind P2's fluctuation term.
-   [Interp] runs the tape each kernel was bound with; [Jit] runs the
-   memoized native program, from a cleared memo so it genuinely compiles. *)
-let test_native_vs_tape_bitwise () =
-  let g = Lazy.force p2_gen in
-  let run backend =
-    let sim = Pfcore.Timestep.create ~backend ~num_domains:1 ~dims:[| 6; 6; 6 |] g in
-    Pfcore.Simulation.init_smooth sim;
-    Pfcore.Timestep.run sim ~steps:2;
-    sim
-  in
-  let tape = run Vm.Engine.Interp in
+(* Run [f] on a cleared memo, so it genuinely compiles; when the native
+   tier is available, prove that every program [f] compiled took it. *)
+let on_native_tier f =
   Vm.Jit.clear_cache ();
-  let native = run Vm.Engine.Jit in
+  let r = f () in
   (if Vm.Jit_native.available () then
-     (* prove the jit run really took the native tier *)
      let programs = Hashtbl.fold (fun _ c acc -> c :: acc) Vm.Jit.cache [] in
      Alcotest.(check bool) "native tier engaged when available" true
        (programs <> [] && List.for_all (fun c -> c.Vm.Jit.native) programs));
   Vm.Jit.clear_cache ();
+  r
+
+(* [steps] time steps of [g] on a 6^3 block: the tape tier and the native
+   tier must write identical bits. *)
+let check_native_vs_tape g ~steps =
+  let run backend () =
+    let sim = Pfcore.Timestep.create ~backend ~num_domains:1 ~dims:[| 6; 6; 6 |] g in
+    Pfcore.Simulation.init_smooth sim;
+    Pfcore.Timestep.run sim ~steps;
+    sim
+  in
+  let tape = run Vm.Engine.Interp () in
+  let native = on_native_tier (run Vm.Engine.Jit) in
   Alcotest.(check bool) "tape tier and native tier write identical bits" true
     (buffers_bits_equal tape.Pfcore.Timestep.block native.Pfcore.Timestep.block)
+
+(* The native tier (runtime ocamlopt + Dynlink, [Jit_native]) must be
+   bitwise interchangeable with the portable tape it is translated from —
+   including the replicated Philox stream behind P2's fluctuation term.
+   [Interp] runs the tape each kernel was bound with; [Jit] runs the
+   memoized native program. *)
+let test_native_vs_tape_bitwise () = check_native_vs_tape (Lazy.force p2_gen) ~steps:2
 
 (* [Interp] runs the tape program compiled at bind time and never the
    native memo: binding P1 and sweeping it on the interp backend, serial
@@ -252,6 +260,138 @@ let test_interp_bypasses_native_memo () =
   Alcotest.(check int) "interp sweeps add no memo entry" len0 (Hashtbl.length Vm.Jit.cache);
   Alcotest.(check bool) "pooled interp = serial interp (bitwise)" true
     (buffers_bits_equal serial.Pfcore.Timestep.block pooled.Pfcore.Timestep.block)
+
+(* ---- chunked native source ---- *)
+
+(* The chunk plan of depth group [g] of [c], exactly as the native printer
+   computes it. *)
+let chunk_starts (c : Vm.Jit.compiled) g =
+  let nc = c.Vm.Jit.param_base in
+  let tape = c.Vm.Jit.tapes.(g) in
+  Vm.Jit.chunk_starts tape
+    (Vm.Jit.last_reads ~nc
+       ~temp_base:(nc + Array.length c.Vm.Jit.param_names)
+       ~scratch_base:c.Vm.Jit.scratch_base ~hoisted:(g < c.Vm.Jit.dim) tape)
+
+let source_of (c : Vm.Jit.compiled) =
+  Vm.Jit.native_source ~nc:c.Vm.Jit.param_base
+    ~temp_base:(c.Vm.Jit.param_base + Array.length c.Vm.Jit.param_names)
+    ~scratch_base:c.Vm.Jit.scratch_base ~template:c.Vm.Jit.template c.Vm.Jit.tapes
+
+let is_select_head tape q =
+  let op = tape.(4 * q) in
+  op = Vm.Jit.op_sellt || op = Vm.Jit.op_selle
+
+(* Every chunk of every group holds at most [chunk_quads] quads, starts
+   at quad 0 and in order, and no cut separates a Select quad from its
+   argument quad. *)
+let check_chunk_plan label (c : Vm.Jit.compiled) =
+  Array.iteri
+    (fun g tape ->
+      let nq = Array.length tape / 4 in
+      let starts = chunk_starts c g in
+      Alcotest.(check int) (label ^ ": first chunk at quad 0") 0 starts.(0);
+      Array.iteri
+        (fun k s ->
+          let e = if k + 1 < Array.length starts then starts.(k + 1) else nq in
+          if e <= s && nq > 0 then Alcotest.failf "%s: group %d chunk %d is empty" label g k;
+          if e - s > Vm.Jit.chunk_quads then
+            Alcotest.failf "%s: group %d chunk %d has %d quads (budget %d)" label g k (e - s)
+              Vm.Jit.chunk_quads;
+          if s > 0 && is_select_head tape (s - 1) then
+            Alcotest.failf "%s: group %d cut at quad %d splits a Select pair" label g s)
+        starts)
+    c.Vm.Jit.tapes
+
+let count_sub hay needle =
+  let n = String.length needle in
+  let rec go i acc =
+    match Astring.String.find_sub ~start:i ~sub:needle hay with
+    | Some j -> go (j + n) (acc + 1)
+    | None -> acc
+  in
+  go 0 0
+
+(* P1 mu-full's ~2000-quad body is printed as a chain of chunk
+   functions, within budget; every P1 kernel's plan is well formed. *)
+let test_p1_chunked_source () =
+  let g = Lazy.force p1_gen in
+  let compile k = Vm.Jit.compile ~dims:[| 8; 8; 8 |] ~ghost:2 k (Ir.Lower.run k) in
+  let mu = compile (Option.get g.Pfcore.Genkernels.mu_full) in
+  let body = mu.Vm.Jit.dim in
+  Alcotest.(check bool) "mu-full body exceeds one chunk" true
+    (Array.length mu.Vm.Jit.tapes.(body) / 4 > Vm.Jit.chunk_quads);
+  let src = source_of mu in
+  Alcotest.(check bool) "mu-full native source has more than one chunk function" true
+    (count_sub src (Printf.sprintf "let g%d_" body) > 1);
+  Alcotest.(check int) "one chunk function per planned chunk"
+    (Array.length (chunk_starts mu body))
+    (count_sub src (Printf.sprintf "let g%d_" body));
+  check_chunk_plan "mu_full" mu;
+  check_chunk_plan "phi_full" (compile g.Pfcore.Genkernels.phi_full)
+
+(* Native = tape, bit for bit, over 3 P1 time steps: the chunked mu-full
+   and phi-full bodies pass every cross-chunk value through the slot
+   array. *)
+let test_p1_native_vs_tape () = check_native_vs_tape (Lazy.force p1_gen) ~steps:3
+
+(* A synthetic 2D kernel built to put both hazards at chunk cuts:
+   - a hoisted group (temporaries of the outer coordinate only): a chain
+     [h_i = h_(i-1) * 0.5 + 1] long enough to be chunked, so the value
+     defined last before a cut is read right after it, and every [h_i]
+     is read again by the body;
+   - a body of Select chains [b_i = b_(i-1) < h ? b_(i-1) * 0.9 : b_(i-1)
+     - 0.1], one leading load quad placing a Select quad at the
+     budget's boundary.
+   The plan must step around the Select pair, and native must match the
+   tape bit for bit. *)
+let select_chain_kernel () =
+  let hoisted = (Vm.Jit.chunk_quads / 2) + 40 and chain = (Vm.Jit.chunk_quads / 4) + 20 in
+  let h i = sym (Printf.sprintf "h%d" i) and b i = sym (Printf.sprintf "b%d" i) in
+  let hs =
+    Field.Assignment.assign_temp "h0" (coord 1)
+    :: List.init hoisted (fun i ->
+           Field.Assignment.assign_temp
+             (Printf.sprintf "h%d" (i + 1))
+             (add [ mul [ h i; num 0.5 ]; num 1. ]))
+  in
+  let hl = h hoisted in
+  let bs =
+    Field.Assignment.assign_temp "b0" (field f2)
+    :: List.init chain (fun i ->
+           Field.Assignment.assign_temp
+             (Printf.sprintf "b%d" (i + 1))
+             (Select (Lt (b i, hl), mul [ b i; num 0.9 ], add [ b i; num (-0.1) ])))
+  in
+  let store =
+    Field.Assignment.store (Fieldspec.center g2) (add [ b chain; h (hoisted / 2); hl ])
+  in
+  Ir.Kernel.make ~name:"select_chain" ~dim:2 (hs @ bs @ [ store ])
+
+let test_select_and_hoisted_cuts () =
+  let k = select_chain_kernel () in
+  let c = Vm.Jit.compile ~dims:[| 8; 6 |] ~ghost:1 k (Ir.Lower.run k) in
+  let hoisted_group = 1 and body = c.Vm.Jit.dim in
+  Alcotest.(check bool) "hoisted chain sits in group 1" true
+    (Array.length c.Vm.Jit.tapes.(hoisted_group) / 4 > Vm.Jit.chunk_quads);
+  Alcotest.(check bool) "a Select quad sits at the body's budget boundary" true
+    (is_select_head c.Vm.Jit.tapes.(body) (Vm.Jit.chunk_quads - 1));
+  Alcotest.(check bool) "hoisted group is chunked" true
+    (Array.length (chunk_starts c hoisted_group) > 1);
+  Alcotest.(check bool) "body is chunked" true (Array.length (chunk_starts c body) > 1);
+  check_chunk_plan "select_chain" c;
+  let run backend () =
+    let block = Vm.Engine.make_block ~ghost:1 ~dims:[| 8; 6 |] [ f2; g2 ] in
+    let fbuf = Vm.Engine.buffer block f2 in
+    Vm.Buffer.init fbuf (fun c _ -> 0.25 *. float_of_int ((c.(0) * 3) + (c.(1) * 7)));
+    Vm.Buffer.periodic fbuf;
+    Vm.Engine.run_plain ~backend ~params:[] (Vm.Engine.bind k block);
+    block
+  in
+  let tape = run Vm.Engine.Interp () in
+  let native = on_native_tier (run Vm.Engine.Jit) in
+  Alcotest.(check bool) "select/hoisted cuts: native writes the tape's bits" true
+    (buffers_bits_equal tape native)
 
 (* ---- tuner backend decision ---- *)
 
@@ -318,4 +458,10 @@ let suite =
     Alcotest.test_case "tune: backend is a tunable variant" `Quick test_tune_backend;
     Alcotest.test_case "jit: golden Chrome trace with vm.jit.compile span" `Quick
       test_golden_trace_jit;
+    Alcotest.test_case "jit: P1 mu-full native source is chunked within budget" `Quick
+      test_p1_chunked_source;
+    Alcotest.test_case "jit: chunked native tier bitwise = tape tier (P1)" `Quick
+      test_p1_native_vs_tape;
+    Alcotest.test_case "jit: Select pair and hoisted temp at chunk cuts, bitwise" `Quick
+      test_select_and_hoisted_cuts;
   ]

@@ -86,6 +86,48 @@ let test_domain_tracks () =
     (List.exists (fun (e : Obs.Sink.event) -> e.Obs.Sink.tid = 1) evs);
   Alcotest.(check bool) "domain track labeled" true (contains json "domain 1")
 
+(* ---- cold samples stay out of warm histograms ---- *)
+
+(* The first Jit sweep of each kernel compiles its native program inside
+   the timed sweep; that sample goes to [vm.<k>.cold_ns_per_cell], so
+   [vm.<k>.ns_per_cell] holds warm sweeps only.  3 steps of curvature 8x8
+   from a cleared memo: per kernel, 3 sweeps, 1 cold and 2 warm samples.
+   Counts only — no clock value is checked. *)
+let test_cold_samples_apart () =
+  Vm.Jit.clear_cache ();
+  let sim =
+    Pfcore.Timestep.create ~backend:Vm.Engine.Jit ~num_domains:1 ~dims:[| 8; 8 |]
+      (Lazy.force curvature_gen)
+  in
+  Pfcore.Simulation.init_sphere sim;
+  Pfcore.Timestep.prime sim;
+  with_obs (fun () ->
+      Pfcore.Timestep.run sim ~steps:3;
+      let s = Obs.Metrics.snapshot () in
+      let count name =
+        match List.assoc_opt name s.Obs.Metrics.s_histograms with
+        | Some h -> h.Obs.Metrics.hs_count
+        | None -> 0
+      in
+      let kernels =
+        List.filter_map
+          (fun (name, _) ->
+            Option.bind (Astring.String.cut ~sep:".cold_ns_per_cell" name) (fun (k, rest) ->
+                if rest = "" then Some k else None))
+          s.Obs.Metrics.s_histograms
+      in
+      Alcotest.(check bool) "every kernel has a cold sample" true (kernels <> []);
+      List.iter
+        (fun k ->
+          Alcotest.(check (option int)) (k ^ ".sweeps") (Some 3)
+            (Obs.Metrics.counter_value s (k ^ ".sweeps"));
+          Alcotest.(check int) (k ^ ": 1 cold sample") 1 (count (k ^ ".cold_ns_per_cell"));
+          Alcotest.(check int) (k ^ ": 2 warm samples") 2 (count (k ^ ".ns_per_cell")))
+        kernels;
+      Alcotest.(check int) "one native compile per kernel" (List.length kernels)
+        (snd (Vm.Jit.cache_stats ())));
+  Vm.Jit.clear_cache ()
+
 (* ---- zero cost when disabled ---- *)
 
 let test_disabled_is_silent () =
@@ -171,6 +213,8 @@ let suite =
     Alcotest.test_case "mpisim conservation + obs mirror" `Quick test_mpisim_conservation;
     Alcotest.test_case "ECM drift: 8 variants, mu ordering, the model side" `Slow
       test_drift_ordering;
+    Alcotest.test_case "jit: cold sweeps kept out of warm histograms" `Quick
+      test_cold_samples_apart;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       (Check.Obs_props.tests ~count:Check.Harness.default_count)
